@@ -294,7 +294,7 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     p, r, eps = params.p, params.r, params.eps
     if params.regime is Regime.DEGENERATE:
         return np.zeros((len(X), 3, 3))
-    u, central = solve_u_batch(params, X)
+    u, central, _ = solve_u_batch(params, X)
     x1, x2 = X[:, 0], X[:, 1]
     out = np.zeros((len(X), 3, 3))
 
@@ -387,9 +387,10 @@ def _bisect_batch(f, lo: np.ndarray, hi: np.ndarray, increasing: bool, iters: in
 def solve_u_batch(params: Params, pts, iters: int = 90):
     """Vectorized leaf solve over an (n, 3) array of interior moment triples.
 
-    Returns (u, central) where central[i] marks the x1-independent leaf
-    family.  Points the dense path cannot settle (clamp ties, boundary
-    degeneracies) are re-solved through the scalar path.
+    Returns (u, central, skel) where central[i] marks the x1-independent
+    leaf family and skel[i] a skeleton point, whose u is |x1|.  Points the
+    dense path cannot settle (clamp ties, boundary degeneracies) are
+    re-solved through the scalar path.
     """
     X = np.asarray(pts, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
@@ -408,7 +409,6 @@ def solve_u_batch(params: Params, pts, iters: int = 90):
     cen = np.array([reg is Region.XI_ZERO for reg in regions])
     chord = ~(skel | cen)
     u_out[skel] = a1[skel]
-    central[skel] = False
     increasing = p < 2
     scale = np.maximum(1.0, np.abs(x3))
     fallback = []
@@ -455,7 +455,7 @@ def solve_u_batch(params: Params, pts, iters: int = 90):
         leaf = solve_leaf(params, X[i])
         u_out[i] = leaf.u
         central[i] = leaf.region is Region.XI_ZERO
-    return u_out, central
+    return u_out, central, skel
 
 
 def value_batch(params: Params, pts) -> np.ndarray:
@@ -469,13 +469,15 @@ def value_batch(params: Params, pts) -> np.ndarray:
                 _raise_outside(params, x[0], x[1], x[2])
         return X[:, 1].copy() if params.r == 2 else X[:, 2].copy()
     r, eps = params.r, params.eps
-    u, central = solve_u_batch(params, X)
+    u, central, skel = solve_u_batch(params, X)
     a1, x2 = np.abs(X[:, 0]), X[:, 1]
     out = np.empty(len(X))
     if np.any(central):
         uc = u[central]
         out[central] = uc ** r + (x2[central] - uc * uc) * m_fn(r, eps, uc) / (2.0 * (uc + eps))
-    rest = ~central
+    # the skeleton is the curve of constants: B = |x1|^r, as value() gives
+    out[skel] = [abs(x) ** r for x in X[skel, 0]]
+    rest = ~(central | skel)
     if np.any(rest):
         ur, t1 = u[rest], a1[rest]
         mr_, kr_ = m_fn(r, eps, ur), k_fn(r, eps, ur)
@@ -506,7 +508,7 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
         raise BoundaryError(
             f"point ({X[i, 0]}, {X[i, 1]}, {X[i, 2]}) within margin {margin} of the domain boundary"
         )
-    u, central = solve_u_batch(params, X)
+    u, central, _ = solve_u_batch(params, X)
     out = np.empty((len(X), 3))
     if np.any(central):
         uc = u[central]

@@ -33,6 +33,9 @@ from .specfn import _legendre, gamma_fn
 # inside the cells of a 64-cell draw
 _GEN_LEVELS = 9
 
+# draws per pair scan in random_step_fns: the fastest width on 2 vCPUs
+_SCAN_CHUNK = 256
+
 # windows shorter than this fraction of the domain are dropped from the
 # pair scan: prefix-sum cancellation makes their variance meaningless
 _MIN_WINDOW = 1e-9
@@ -455,54 +458,25 @@ def distribution(f: PiecewiseFn, c: float) -> float:
     return total
 
 
-_pair_kernel = None
-
-
-def _pair_scan_py(t, s1, s2, wmin):
-    best = 0.0
-    n = t.shape[0]
-    for i in range(n - 1):
-        ti = t[i]
-        a1 = s1[i]
-        a2 = s2[i]
-        for j in range(i + 1, n):
-            w = t[j] - ti
-            if w < wmin:
-                continue
-            mu = (s1[j] - a1) / w
-            v = (s2[j] - a2) / w - mu * mu
-            if v > best:
-                best = v
-    return best
-
-
-def _pair_scan_numpy(t, s1, s2, wmin):
-    best = 0.0
-    for i in range(t.shape[0] - 1):
-        w = t[i + 1 :] - t[i]
-        ok = w >= wmin
-        if not np.any(ok):
-            continue
-        mu = (s1[i + 1 :][ok] - s1[i]) / w[ok]
-        v = (s2[i + 1 :][ok] - s2[i]) / w[ok] - mu * mu
-        m = v.max()
-        if m > best:
-            best = m
-    return best
-
-
 def _pair_scan(t, s1, s2, wmin):
-    global _pair_kernel
-    if _pair_kernel is None:
-        try:
-            from numba import njit
+    """Largest window variance, at least 0, per column over node pairs t_i < t_j.
 
-            compiled = njit(cache=True, nogil=True)(_pair_scan_py)
-            compiled(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 0.0)
-            _pair_kernel = compiled
-        except Exception:
-            _pair_kernel = _pair_scan_numpy
-    return _pair_kernel(t, s1, s2, wmin)
+    t holds n sorted nodes and s1, s2 the (n, F) prefix integrals of F
+    functions at them, one per column; windows shorter than wmin are skipped.
+    """
+    n, cols = s1.shape
+    best = np.zeros(cols)
+    for i in range(n - 1):
+        w = t[i + 1 :] - t[i]
+        # w rises with j, so the windows long enough are a suffix of the row
+        k = np.searchsorted(w, wmin)
+        if k == w.size:
+            continue
+        wc = w[k:, None]
+        mu = (s1[i + 1 + k :] - s1[i]) / wc
+        v = (s2[i + 1 + k :] - s2[i]) / wc - mu * mu
+        np.fmax(best, v.max(axis=0), out=best)
+    return best
 
 
 def prefix_integrals(f: PiecewiseFn, t):
@@ -529,7 +503,8 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
     breakpoint, so prefix integrals at nodes are exact and the result is a
     lower bound of the true seminorm, nondecreasing in levels.  A ladder
     piece adds only its two ends, so windows inside it are seen through the
-    dyadic nodes alone; lay out enough ladder levels as log pieces.
+    dyadic nodes alone; lay out enough ladder levels as log pieces.  The
+    scan is the stacked pair-scan kernel run on a single column.
     """
     if not isinstance(levels, int) or not 1 <= levels <= 16:
         raise DomainError(f"levels must be an integer in [1, 16], got {levels}")
@@ -537,7 +512,7 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
         np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()])
     )
     s1, s2 = prefix_integrals(f, nodes)
-    best = _pair_scan(nodes, s1, s2, _MIN_WINDOW * f.length)
+    best = _pair_scan(nodes, s1[:, None], s2[:, None], _MIN_WINDOW * f.length)[0]
     return math.sqrt(max(best, 0.0))
 
 
@@ -726,25 +701,47 @@ def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:
     return PiecewiseFn(pieces)
 
 
-def random_step_fn(seed: int, cells: int, eps: float) -> PiecewiseFn:
-    """Random step function on [0, 1) rescaled to grid seminorm exactly eps."""
+def random_step_fns(seeds, cells: int, eps: float) -> list[PiecewiseFn]:
+    """random_step_fn for each seed, _SCAN_CHUNK draws per pair scan.
+
+    The draws share one node grid, the 2^_GEN_LEVELS dyadic splits plus the
+    cell edges, so their prefix integrals stack as the columns of one scan.
+    """
     if not (isinstance(cells, int) and cells >= 2):
         raise DomainError(f"cells must be an integer >= 2, got {cells}")
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    while True:
-        vals = rng.normal(0.0, 1.0, cells)
-        if np.ptp(vals) > 0:
-            break
     edges = np.linspace(0.0, 1.0, cells + 1)
-    raw = PiecewiseFn(
-        [ConstPiece(edges[i], edges[i + 1], vals[i]) for i in range(cells)]
-    )
-    scale = eps / bmo_norm(raw, _GEN_LEVELS)
-    return PiecewiseFn(
-        [ConstPiece(edges[i], edges[i + 1], vals[i] * scale) for i in range(cells)]
-    )
+    nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2 ** _GEN_LEVELS + 1), edges]))
+
+    def step(vals):
+        return PiecewiseFn([ConstPiece(edges[i], edges[i + 1], vals[i]) for i in range(cells)])
+
+    draws = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.Philox(seed))
+        vals = rng.normal(0.0, 1.0, cells)
+        while not np.ptp(vals) > 0:
+            vals = rng.normal(0.0, 1.0, cells)
+        draws.append(vals)
+    out = []
+    for c in range(0, len(draws), _SCAN_CHUNK):
+        block = draws[c : c + _SCAN_CHUNK]
+        s1, s2 = np.empty((2, nodes.size, len(block)))
+        for k, vals in enumerate(block):
+            s1[:, k], s2[:, k] = prefix_integrals(step(vals), nodes)
+        best = _pair_scan(nodes, s1, s2, _MIN_WINDOW)
+        out.extend(step(vals * (eps / math.sqrt(max(v, 0.0)))) for vals, v in zip(block, best))
+    return out
+
+
+def random_step_fn(seed: int, cells: int, eps: float) -> PiecewiseFn:
+    """Random step function on [0, 1) rescaled to grid seminorm exactly eps.
+
+    Cell values come from Philox(seed); the seminorm is the pair-scan
+    kernel on the node grid shared by every draw with this cell count.
+    """
+    return random_step_fns([seed], cells, eps)[0]
 
 
 def to_csv(f: PiecewiseFn) -> str:

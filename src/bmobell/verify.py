@@ -228,8 +228,7 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
     seeds = np.random.SeedSequence(seed).generate_state(int(n_fns), dtype=np.uint64)
     pts = np.empty((int(n_fns), 3))
     xr = np.empty(int(n_fns))
-    for i, s in enumerate(seeds):
-        f = testfn.random_step_fn(int(s), cells, eps)
+    for i, f in enumerate(testfn.random_step_fns([int(s) for s in seeds], cells, eps)):
         pts[i] = (testfn.mean(f), testfn.second_moment(f), testfn.moments(f, p))
         xr[i] = testfn.moments(f, r)
     # snap float-rim cases onto the body; anything farther out means the

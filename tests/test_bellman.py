@@ -113,6 +113,22 @@ def test_value_batch_agrees_with_scalar():
         np.testing.assert_allclose(got, want, rtol=5e-14, atol=1e-15)
 
 
+def test_value_batch_on_the_skeleton_is_a_pure_power():
+    # skeleton points must not reach the chord plane, whose k_fn refuses
+    # u = |x1| < eps; both sides of eps, both regimes, eps away from 1
+    for pa in (PA, Params(4.0, 3.0), Params(1.5, 3.0, 0.6)):
+        eps = pa.eps
+        ts = (0.5 * eps, -0.2 * eps, 0.0, 1.7 * eps, -2.3 * eps)
+        skel = [(t, t * t, abs(t) ** pa.p) for t in ts]
+        for x in skel:
+            assert value_batch(pa, [x])[0] == abs(x[0]) ** pa.r == value(pa, x)
+        inner = interior_points(pa, 6, seed=29)
+        mixed = np.concatenate([skel[:2], inner[:3], skel[2:], inner[3:]])
+        got = value_batch(pa, mixed)
+        np.testing.assert_array_equal(got[[0, 1, 5, 6, 7]], [abs(t) ** pa.r for t in ts])
+        np.testing.assert_array_equal(got[[2, 3, 4, 8, 9, 10]], value_batch(pa, inner))
+
+
 def test_gradient_batch_agrees_with_scalar():
     pts = interior_points(PA, 30, seed=17)
     got = gradient_batch(PA, pts)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bmobell import testfn
 from bmobell import (
     ConstPiece,
     DomainError,
@@ -28,6 +29,7 @@ from bmobell import (
     optimizer_uplus,
     prefix_integrals,
     random_step_fn,
+    random_step_fns,
     second_moment,
     to_csv,
     transfer,
@@ -180,6 +182,51 @@ def test_log_extremals_sit_on_the_oscillation_bound():
         assert b >= 0.97
 
 
+def pair_scan_reference(t, s1, s2, wmin):
+    """The pair scan as a plain double loop over one column."""
+    best = 0.0
+    for i in range(len(t) - 1):
+        for j in range(i + 1, len(t)):
+            w = t[j] - t[i]
+            if w < wmin:
+                continue
+            mu = (s1[j] - s1[i]) / w
+            v = (s2[j] - s2[i]) / w - mu * mu
+            if v > best:
+                best = v
+    return best
+
+
+def test_pair_scan_matches_the_double_loop():
+    # breakpoints closer than the minimal window send rows down the suffix
+    # path, and the pair next to the right end leaves a row with no window
+    rng = np.random.default_rng(5)
+    cuts = [0.0, 0.3, 0.5, 0.5 + 3e-10, 0.7, 1.0 - 4e-10, 1.0]
+    fns = [
+        PiecewiseFn([ConstPiece(a, b, v) for a, b, v in zip(cuts, cuts[1:], rng.normal(size=6))])
+        for _ in range(3)
+    ] + [PiecewiseFn([ConstPiece(0.0, 0.4, 1.0), LogPiece(0.4, 1.0, 0.2, -0.7, 1.0, 0.3)])]
+    wmin = testfn._MIN_WINDOW
+    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 33), cuts, [0.4]]))
+    s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
+    want = [pair_scan_reference(t, s1[:, k], s2[:, k], wmin) for k in range(len(fns))]
+    assert min(want) > 0.0
+    assert testfn._pair_scan(t, s1, s2, wmin).tolist() == want
+    for k in range(len(fns)):
+        assert testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin)[0] == want[k]
+    # wider than every window: nothing qualifies and the scan reads 0
+    assert testfn._pair_scan(t, s1, s2, 2.0).tolist() == [0.0] * len(fns)
+
+
+def test_pair_scan_of_phi0_matches_the_double_loop():
+    f = optimizer_phi0()
+    for levels in (3, 5):
+        t = np.unique(np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()]))
+        s1, s2 = prefix_integrals(f, t)
+        want = pair_scan_reference(t, s1, s2, testfn._MIN_WINDOW * f.length)
+        assert bmo_norm(f, levels) == math.sqrt(want)
+
+
 def test_bmo_levels_guard():
     with pytest.raises(DomainError):
         bmo_norm(two_step(), 0)
@@ -316,6 +363,26 @@ def test_random_step_fn_respects_the_oscillation_budget():
         f = random_step_fn(seed, 64, 0.8)
         assert len(f.pieces) == 64
         assert bmo_norm(f, 7) <= 0.8 + 1e-9
+
+
+def test_random_step_fns_match_single_draws(monkeypatch):
+    # 100 seeds are one partial chunk at 64 cells; at 48 cells, which does
+    # not divide the 2^9 grid, chunks of 32 give three full blocks and a part
+    for cells, eps, chunk in ((64, 1.0, testfn._SCAN_CHUNK), (48, 0.37, 32)):
+        monkeypatch.setattr(testfn, "_SCAN_CHUNK", chunk)
+        seeds = list(range(1000, 1100))
+        batch = random_step_fns(seeds, cells, eps)
+        assert len(batch) == len(seeds)
+        for s, f in zip(seeds, batch):
+            assert f.pieces == random_step_fn(s, cells, eps).pieces
+
+
+def test_random_step_fns_guards():
+    assert random_step_fns([], 8, 1.0) == []
+    with pytest.raises(DomainError):
+        random_step_fns([1], 1, 1.0)
+    with pytest.raises(DomainError):
+        random_step_fns([1], 8, 0.0)
 
 
 def test_csv_round_trip_is_bitwise():
