@@ -1,10 +1,16 @@
 """Bellman function evaluation along the tangent leaf foliation.
 
 Every interior moment triple x sits on exactly one supporting leaf, indexed
-by a chord parameter u.  The leaf is located by bisection on the defining
-plane equation in the p-coordinate, after which the function value, the
-gradient and numeric second derivatives all come from closed expressions
-in the transforms m and k evaluated at that u.
+by a chord parameter u.  One vectorized kernel locates the leaves of a
+whole batch: classify_batch picks each point's leaf family, and a masked
+bisection on the defining plane equation in the p-coordinate runs every
+point to float resolution under one contract, with the same brackets,
+endpoint clamps and residual target for all of them.  The function value
+is the same plane in the r-coordinate at the solved u; the gradient and
+the leafwise Hessian come from closed expressions in the transforms m and
+k there.  solve_leaf, value and gradient are one-row calls of
+solve_u_batch, value_batch and gradient_batch, so the scalar and batch
+answers are the same bits.
 """
 
 from __future__ import annotations
@@ -14,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Params, Regime, Region, bellman2d, classify, omega3_contains, tangent_params
+from .domain import (
+    Params,
+    Regime,
+    Region,
+    as_triples,
+    bellman2d,
+    classify_batch,
+    envelope_batch,
+)
 from .errors import BoundaryError, ConvergenceError, DomainError
 from .specfn import k_fn, m_fn
 
@@ -32,111 +46,78 @@ class Leaf:
     bracket: tuple[float, float]
 
 
-def _chord_value(q: float, eps: float, u: float, x1: float, x2: float) -> float:
-    """Supporting plane of the two-sided tangent leaf, exponent q, at (x1, x2)."""
-    mq = m_fn(q, eps, u)
-    kq = k_fn(q, eps, u)
-    quad = x2 - x1 * x1 + (x1 - u) ** 2
-    return u ** q + (mq - kq) / (4.0 * eps) * quad + (mq + kq) / 2.0 * (x1 - u)
+def _plane(q: float, eps: float, u, a1, x2, central) -> np.ndarray:
+    """Supporting plane, exponent q, of the leaf at chord parameter u over (|x1|, x2).
 
-
-def _central_value(q: float, eps: float, u: float, x2: float) -> float:
-    """Supporting plane of the central leaf, exponent q, independent of x1."""
-    return u ** q + (x2 - u * u) * m_fn(q, eps, u) / (2.0 * (u + eps))
-
-
-def _bisect_leaf(f, lo: float, hi: float, increasing: bool, scale: float):
-    """Locate f = 0 on [lo, hi] for monotone f, with endpoint clamping.
-
-    Returns (u, residual) or None when the target level is outside the
-    bracket by more than the clamp slack.
+    central[i] picks the x1-independent central leaf, otherwise the
+    two-sided tangent chord leaf.  u, a1, x2 and central are arrays of one
+    shape, except that a1 and x2 may be scalars when every leaf is central.
     """
-    clamp = _CLAMP_REL * scale
-    flo = f(lo)
-    fhi = f(hi)
+    m = m_fn(q, eps, u)
+    out = u ** q + (x2 - u * u) * m / (2.0 * (u + eps))
+    chord = ~central
+    if np.any(chord):
+        uh, t1, mq = u[chord], a1[chord], m[chord]
+        kq = k_fn(q, eps, uh)
+        quad = x2[chord] - t1 * t1 + (t1 - uh) ** 2
+        out[chord] = uh ** q + (mq - kq) / (4.0 * eps) * quad + (mq + kq) / 2.0 * (t1 - uh)
+    return out
+
+
+def _brackets(eps: float, a1, x2, central):
+    """Chord-parameter bracket (lo, hi) of each point's leaf family; empty when lo > hi."""
+    d = np.sqrt(np.clip(eps * eps - (x2 - a1 * a1), 0.0, eps * eps))
+    up, um = a1 - eps + d, a1 + eps - d
+    lo = np.where(central, np.maximum(0.0, up), np.maximum(eps, up))
+    hi = np.where(central, np.minimum(np.sqrt(x2), eps), um)
+    return lo, hi
+
+
+def _bisect(f, lo, hi, increasing: bool, scale):
+    """Masked bisection for f(u, rows) = 0, monotone in u, one bracket per row.
+
+    Each row clamps to a bracket end whose level misses by at most
+    _CLAMP_REL * scale, otherwise halves its bracket until the midpoint
+    equals an end, for at most _BISECT_MAX steps, and keeps the u of the
+    smallest |f| it saw.  Returns (u, residual, state) with state 1
+    solved, 0 level outside the bracket, -1 stalled above the target.
+    """
+    n = lo.size
+    rows = np.arange(n)
+    ends = f(np.concatenate([lo, hi]), np.concatenate([rows, rows]))
+    flo, fhi = ends[:n], ends[n:]
+    # orient every bracket so that f <= 0 at a and f >= 0 at b
+    a, b = (lo.copy(), hi.copy()) if increasing else (hi.copy(), lo.copy())
     if not increasing:
         flo, fhi = fhi, flo
-        # reorder so the "low" end is the one with f <= 0
-    # after the swap: flo corresponds to the end where f should be <= 0
-    lo_end, hi_end = (lo, hi) if increasing else (hi, lo)
-    if flo > 0.0:
-        if flo <= clamp:
-            return lo_end, abs(flo)
-        return None
-    if fhi < 0.0:
-        if -fhi <= clamp:
-            return hi_end, abs(fhi)
-        return None
-    # run the bracket down to float resolution; the last midpoints pin u to
-    # an ulp, which keeps downstream finite differences of value() quiet
-    target = _RESIDUAL_REL * scale
-    a, b = lo_end, hi_end
-    best_u, best_f = (a, abs(flo)) if abs(flo) <= abs(fhi) else (b, abs(fhi))
+    clamp = _CLAMP_REL * scale
+    u, res, state = np.empty(n), np.empty(n), np.ones(n, dtype=int)
+    low = flo > 0.0
+    high = ~low & (fhi < 0.0)
+    u[low], res[low] = a[low], flo[low]
+    u[high], res[high] = b[high], -fhi[high]
+    state[(low | high) & (res > clamp)] = 0
+    run = np.flatnonzero(~(low | high))
+    a, b = a[run], b[run]
+    fa, fb = np.abs(flo[run]), np.abs(fhi[run])
+    best_u, best_f = np.where(fa <= fb, a, b), np.minimum(fa, fb)
+    live = np.arange(run.size)
     for _ in range(_BISECT_MAX):
-        u = 0.5 * (a + b)
-        if u == a or u == b:
+        mid = 0.5 * (a[live] + b[live])
+        moving = (mid != a[live]) & (mid != b[live])
+        live, mid = live[moving], mid[moving]
+        if live.size == 0:
             break
-        fu = f(u)
-        if abs(fu) < best_f:
-            best_u, best_f = u, abs(fu)
-        if fu < 0.0:
-            a = u
-        else:
-            b = u
-    if best_f <= target:
-        return best_u, best_f
-    raise ConvergenceError(
-        f"leaf bisection stalled at residual {best_f:.3e} (target {target:.3e})"
-    )
-
-
-def solve_leaf(params: Params, x) -> Leaf:
-    """Find the leaf through x, trying the classified region first.
-
-    Classification ties at the transition leaf are resolved by whichever
-    bracket actually contains x3; the two candidate solves agree there to
-    within the clamp slack.
-    """
-    x1, x2, x3 = (float(v) for v in x)
-    region = classify(params, x)
-    if region is Region.OUTSIDE:
-        _raise_outside(params, x1, x2, x3)
-    if region is Region.SKELETON:
-        u = abs(x1)
-        return Leaf(region, u, (u, u))
-    p, eps = params.p, params.eps
-    a1 = abs(x1)
-    up, um = tangent_params(eps, a1, x2)
-    increasing = p < 2
-    scale = max(1.0, abs(x3))
-
-    def attempt(reg: Region):
-        if reg is Region.XI_ZERO:
-            lo = max(0.0, up)
-            hi = min(math.sqrt(x2), eps)
-            if lo > hi:
-                return None
-            f = lambda u: _central_value(p, eps, u, x2) - x3
-        else:
-            lo = max(eps, up)
-            hi = um
-            if lo > hi:
-                return None
-            f = lambda u: _chord_value(p, eps, u, a1, x2) - x3
-        got = _bisect_leaf(f, lo, hi, increasing, scale)
-        if got is None:
-            return None
-        return Leaf(reg, got[0], (lo, hi))
-
-    side = Region.XI_PLUS if x1 >= 0 else Region.XI_MINUS
-    order = (region, side if region is Region.XI_ZERO else Region.XI_ZERO)
-    for reg in order:
-        leaf = attempt(reg)
-        if leaf is not None:
-            if reg is not Region.XI_ZERO:
-                leaf = Leaf(side, leaf.u, leaf.bracket)
-            return leaf
-    raise ConvergenceError(f"no leaf bracket admits x3 = {x3} at ({x1}, {x2})")
+        fm = f(mid, run[live])
+        better = np.abs(fm) < best_f[live]
+        best_u[live[better]] = mid[better]
+        best_f[live[better]] = np.abs(fm[better])
+        neg = fm < 0.0
+        a[live[neg]] = mid[neg]
+        b[live[~neg]] = mid[~neg]
+    u[run], res[run] = best_u, best_f
+    state[run[~(best_f <= _RESIDUAL_REL * scale[run])]] = -1
+    return u, res, state
 
 
 def _raise_outside(params: Params, x1: float, x2: float, x3: float):
@@ -150,76 +131,100 @@ def _raise_outside(params: Params, x1: float, x2: float, x3: float):
     raise DomainError(f"x3 = {x3} outside the reachable interval [{lo}, {hi}] at ({x1}, {x2})")
 
 
+def _classify_inside(params: Params, X: np.ndarray) -> np.ndarray:
+    """classify_batch of X, raising DomainError at the first point outside the body."""
+    regions = classify_batch(params, X)
+    bad = np.flatnonzero(regions == Region.OUTSIDE)
+    if bad.size:
+        _raise_outside(params, *(float(v) for v in X[bad[0]]))
+    return regions
+
+
+def solve_u_batch(params: Params, pts):
+    """Leaf solve over an (n, 3) array of moment triples, in one batched kernel.
+
+    Returns (u, central, skel) where central[i] marks the x1-independent
+    leaf family and skel[i] a skeleton point, whose u is |x1|.  Each point
+    tries its classified family first and the other one when the level
+    misses that bracket by more than the clamp slack, so a classification
+    tie resolves to whichever bracket holds x3.  The residual target is
+    _RESIDUAL_REL * max(1, |x3|) for every point.
+    """
+    X = as_triples(pts)
+    regions = _classify_inside(params, X)
+    p, eps = params.p, params.eps
+    a1, x2, x3 = np.abs(X[:, 0]), X[:, 1], X[:, 2]
+    skel = regions == Region.SKELETON
+    central = regions == Region.XI_ZERO
+    u = a1.copy()
+    todo = np.flatnonzero(~skel)
+    fam = central[todo]
+    for _attempt in range(2):
+        if todo.size == 0:
+            break
+        lo, hi = _brackets(eps, a1[todo], x2[todo], fam)
+        has = np.flatnonzero(lo <= hi)
+        sub, sfam = todo[has], fam[has]
+
+        def f(v, rows):
+            i = sub[rows]
+            return _plane(p, eps, v, a1[i], x2[i], sfam[rows]) - x3[i]
+
+        got, res, state = _bisect(f, lo[has], hi[has], p < 2, np.maximum(1.0, np.abs(x3[sub])))
+        if np.any(state < 0):
+            k = int(np.flatnonzero(state < 0)[0])
+            target = _RESIDUAL_REL * max(1.0, abs(x3[sub[k]]))
+            raise ConvergenceError(
+                f"leaf bisection stalled at residual {res[k]:.3e} (target {target:.3e})"
+            )
+        done = state > 0
+        u[sub[done]] = got[done]
+        central[sub[done]] = sfam[done]
+        left = np.ones(todo.size, dtype=bool)
+        left[has[done]] = False
+        todo, fam = todo[left], ~fam[left]
+    if todo.size:
+        i = todo[0]
+        raise ConvergenceError(f"no leaf bracket admits x3 = {X[i, 2]} at ({X[i, 0]}, {X[i, 1]})")
+    return u, central, skel
+
+
+def leaf_regions(x1, central, skel) -> np.ndarray:
+    """Region of each solved leaf, from the masks of solve_u_batch and the sign of x1."""
+    out = np.where(np.asarray(x1) >= 0.0, Region.XI_PLUS, Region.XI_MINUS)
+    out[central] = Region.XI_ZERO
+    out[skel] = Region.SKELETON
+    return out
+
+
+def _one_row(x) -> np.ndarray:
+    return np.array([[float(v) for v in x]])
+
+
+def solve_leaf(params: Params, x) -> Leaf:
+    """The leaf through x: solve_u_batch of one row, with its region and bracket."""
+    X = _one_row(x)
+    u, central, skel = solve_u_batch(params, X)
+    region = leaf_regions(X[:, 0], central, skel)[0]
+    if skel[0]:
+        return Leaf(region, float(u[0]), (float(u[0]), float(u[0])))
+    lo, hi = _brackets(params.eps, np.abs(X[:, 0]), X[:, 1], central)
+    return Leaf(region, float(u[0]), (float(lo[0]), float(hi[0])))
+
+
 def value(params: Params, x) -> float:
     """Extremal r-th moment over all admissible functions with moments x.
 
     Supremum in the max regime, infimum in the min regime; the two
-    degenerate exponent patterns collapse to a coordinate.
+    degenerate exponent patterns collapse to a coordinate.  value_batch of
+    one row.
     """
-    x1, x2, x3 = (float(v) for v in x)
-    if params.regime is Regime.DEGENERATE:
-        if not omega3_contains(params, (x1, x2, x3)):
-            _raise_outside(params, x1, x2, x3)
-        return x2 if params.r == 2 else x3
-    leaf = solve_leaf(params, (x1, x2, x3))
-    r, eps = params.r, params.eps
-    if leaf.region is Region.SKELETON:
-        return abs(x1) ** r
-    if leaf.region is Region.XI_ZERO:
-        return _central_value(r, eps, leaf.u, x2)
-    return _chord_value(r, eps, leaf.u, abs(x1), x2)
-
-
-def _interior_margin(params: Params, x1: float, x2: float, x3: float, margin: float):
-    eps = params.eps
-    strip = margin * max(1.0, eps * eps)
-    if x2 - x1 * x1 < strip or (x1 * x1 + eps * eps) - x2 < strip:
-        raise BoundaryError(f"({x1}, {x2}) within {strip} of the strip boundary")
-    lo = bellman2d(params, x1, x2, "lower")
-    hi = bellman2d(params, x1, x2, "upper")
-    gap = margin * max(1.0, hi - lo)
-    if x3 - lo < gap or hi - x3 < gap:
-        raise BoundaryError(f"x3 = {x3} within {gap} of the envelope [{lo}, {hi}]")
+    return float(value_batch(params, _one_row(x))[0])
 
 
 def gradient(params: Params, x, margin: float = 1e-6) -> np.ndarray:
-    """Analytic gradient of value at a strictly interior point."""
-    x1, x2, x3 = (float(v) for v in x)
-    if params.regime is Regime.DEGENERATE:
-        if not omega3_contains(params, (x1, x2, x3)):
-            _raise_outside(params, x1, x2, x3)
-        return np.array([0.0, 1.0, 0.0]) if params.r == 2 else np.array([0.0, 0.0, 1.0])
-    _interior_margin(params, x1, x2, x3, margin)
-    leaf = solve_leaf(params, (x1, x2, x3))
-    if leaf.region is Region.SKELETON:
-        raise BoundaryError("gradient undefined on the skeleton")
-    return _gradient_at_leaf(params, leaf.region, leaf.u, x1, x2)
-
-
-def _gradient_at_leaf(params: Params, region: Region, u: float, x1: float, x2: float) -> np.ndarray:
-    p, r, eps = params.p, params.r, params.eps
-    if region is Region.XI_ZERO:
-        mp_ = m_fn(p, eps, u)
-        mr_ = m_fn(r, eps, u)
-        m1p = m_fn(p, eps, u, 1)
-        m1r = m_fn(r, eps, u, 1)
-        rho = (m1r - r * u ** (r - 2.0)) / (m1p - p * u ** (p - 2.0))
-        g2 = (mr_ - rho * mp_) / (2.0 * (u + eps))
-        return np.array([0.0, g2, rho])
-    a1 = abs(x1)
-    mp_, kp_ = m_fn(p, eps, u), k_fn(p, eps, u)
-    mr_, kr_ = m_fn(r, eps, u), k_fn(r, eps, u)
-    m1p, k1p = m_fn(p, eps, u, 1), k_fn(p, eps, u, 1)
-    m1r, k1r = m_fn(r, eps, u, 1), k_fn(r, eps, u, 1)
-    rho = (m1r - k1r) / (m1p - k1p)
-    s1 = -u * (mr_ - kr_) / (2.0 * eps) + (mr_ + kr_) / 2.0
-    t1 = -u * (mp_ - kp_) / (2.0 * eps) + (mp_ + kp_) / 2.0
-    s2 = (mr_ - kr_) / (4.0 * eps)
-    t2 = (mp_ - kp_) / (4.0 * eps)
-    g1 = s1 - rho * t1
-    if region is Region.XI_MINUS or (region is Region.XI_PLUS and x1 < 0):
-        g1 = -g1
-    return np.array([g1, s2 - rho * t2, rho])
+    """Analytic gradient of value at a strictly interior point; gradient_batch of one row."""
+    return gradient_batch(params, _one_row(x), margin)[0]
 
 
 def hessian(params: Params, x, step: float = 1e-4) -> np.ndarray:
@@ -247,7 +252,7 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
     eps = params.eps
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
     a1 = np.abs(x1)
-    low, high = _envelope_batch(params, a1, x2)
+    low, high = envelope_batch(params, a1, x2)
     slack2 = np.minimum(x2 - a1 * a1, a1 * a1 + eps * eps - x2)
     slack3 = np.minimum(x3 - low, high - x3)
     h1 = step * np.maximum(1.0, a1)
@@ -260,7 +265,7 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
         for dx1, dx2 in ((h1, z), (-h1, z), (z, h2), (z, -h2)):
             a1d = np.abs(x1 + dx1)
             x2d = x2 + dx2
-            lo_d, hi_d = _envelope_batch(params, a1d, x2d)
+            lo_d, hi_d = envelope_batch(params, a1d, x2d)
             ok &= (np.minimum(x2d - a1d * a1d, a1d * a1d + eps * eps - x2d) > 0.2 * slack2)
             ok &= (np.minimum(x3 - lo_d, hi_d - x3) > 0.2 * slack3)
         if ok.all():
@@ -290,9 +295,10 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     this form are exact up to symmetric-eigensolver roundoff, which the
     finite-difference route cannot match near the domain boundary.
     """
-    X = np.asarray(pts, dtype=float)
+    X = as_triples(pts)
     p, r, eps = params.p, params.r, params.eps
     if params.regime is Regime.DEGENERATE:
+        _classify_inside(params, X)
         return np.zeros((len(X), 3, 3))
     u, central, _ = solve_u_batch(params, X)
     x1, x2 = X[:, 0], X[:, 1]
@@ -345,157 +351,43 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     return out
 
 
-def _envelope_batch(params: Params, a1: np.ndarray, x2: np.ndarray):
-    """Vectorized 2d envelope pair (lower, upper) over arrays of |x1|, x2."""
-    p, eps = params.p, params.eps
-    disc = np.clip(eps * eps - (x2 - a1 * a1), 0.0, None)
-    d = np.sqrt(disc)
-    up = a1 - eps + d
-    um = a1 + eps - d
-    # tangent from the outward transform where it exists, central ray otherwise
-    upc = np.maximum(up, 0.0)
-    am = np.where(
-        up > 0.0,
-        upc ** p + m_fn(p, eps, upc) * (a1 - upc),
-        m_fn(p, eps, 0.0) * x2 / (2.0 * eps),
-    )
-    umc = np.maximum(um, eps)
-    ak = np.where(
-        x2 <= eps * eps,
-        x2 ** (p / 2.0),
-        umc ** p + k_fn(p, eps, umc) * (a1 - umc),
-    )
-    return (ak, am) if p > 2 else (am, ak)
-
-
-def _bisect_batch(f, lo: np.ndarray, hi: np.ndarray, increasing: bool, iters: int = 90):
-    """Vectorized bisection for elementwise-monotone f; returns midpoints.
-
-    Endpoints whose level sits outside [f(lo), f(hi)] converge to the
-    nearer endpoint; the caller judges residuals.
-    """
-    sign = 1.0 if increasing else -1.0
-    a, b = lo.copy(), hi.copy()
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        below = sign * f(mid) < 0.0
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
-
-
-def solve_u_batch(params: Params, pts, iters: int = 90):
-    """Vectorized leaf solve over an (n, 3) array of interior moment triples.
-
-    Returns (u, central, skel) where central[i] marks the x1-independent
-    leaf family and skel[i] a skeleton point, whose u is |x1|.  Points the
-    dense path cannot settle (clamp ties, boundary degeneracies) are
-    re-solved through the scalar path.
-    """
-    X = np.asarray(pts, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 3:
-        raise DomainError("expected an (n, 3) array of moment triples")
-    p, eps = params.p, params.eps
-    n = X.shape[0]
-    a1, x2, x3 = np.abs(X[:, 0]), X[:, 1], X[:, 2]
-    u_out = np.empty(n)
-    central = np.zeros(n, dtype=bool)
-    regions = np.empty(n, dtype=object)
-    for i in range(n):
-        regions[i] = classify(params, X[i])
-        if regions[i] is Region.OUTSIDE:
-            _raise_outside(params, X[i, 0], X[i, 1], X[i, 2])
-    skel = np.array([reg is Region.SKELETON for reg in regions])
-    cen = np.array([reg is Region.XI_ZERO for reg in regions])
-    chord = ~(skel | cen)
-    u_out[skel] = a1[skel]
-    increasing = p < 2
-    scale = np.maximum(1.0, np.abs(x3))
-    fallback = []
-
-    if np.any(cen):
-        idx = np.flatnonzero(cen)
-        d = np.sqrt(np.clip(eps * eps - (x2[idx] - a1[idx] ** 2), 0.0, None))
-        lo = np.maximum(0.0, a1[idx] - eps + d)
-        hi = np.minimum(np.sqrt(x2[idx]), eps)
-        bad = lo > hi
-        t2, t3 = x2[idx], x3[idx]
-
-        def fc(u):
-            return u ** p + (t2 - u * u) * m_fn(p, eps, u) / (2.0 * (u + eps)) - t3
-
-        u = _bisect_batch(fc, np.minimum(lo, hi), hi, increasing, iters)
-        res = np.abs(fc(u))
-        ok = (res <= 1e-8 * scale[idx]) & ~bad
-        u_out[idx[ok]] = u[ok]
-        central[idx[ok]] = True
-        fallback.extend(idx[~ok].tolist())
-
-    if np.any(chord):
-        idx = np.flatnonzero(chord)
-        d = np.sqrt(np.clip(eps * eps - (x2[idx] - a1[idx] ** 2), 0.0, None))
-        lo = np.maximum(eps, a1[idx] - eps + d)
-        hi = a1[idx] + eps - d
-        bad = lo > hi
-        t1, t2, t3 = a1[idx], x2[idx], x3[idx]
-
-        def fq(u):
-            mq = m_fn(p, eps, u)
-            kq = k_fn(p, eps, u)
-            quad = t2 - t1 * t1 + (t1 - u) ** 2
-            return u ** p + (mq - kq) / (4.0 * eps) * quad + (mq + kq) / 2.0 * (t1 - u) - t3
-
-        u = _bisect_batch(fq, np.minimum(lo, hi), np.maximum(lo, hi), increasing, iters)
-        res = np.abs(fq(u))
-        ok = (res <= 1e-8 * scale[idx]) & ~bad
-        u_out[idx[ok]] = u[ok]
-        fallback.extend(idx[~ok].tolist())
-
-    for i in fallback:
-        leaf = solve_leaf(params, X[i])
-        u_out[i] = leaf.u
-        central[i] = leaf.region is Region.XI_ZERO
-    return u_out, central, skel
-
-
 def value_batch(params: Params, pts) -> np.ndarray:
     """Vectorized value() over an (n, 3) array of moment triples."""
-    X = np.asarray(pts, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 3:
-        raise DomainError("expected an (n, 3) array of moment triples")
+    X = as_triples(pts)
     if params.regime is Regime.DEGENERATE:
-        for x in X:
-            if not omega3_contains(params, x):
-                _raise_outside(params, x[0], x[1], x[2])
+        _classify_inside(params, X)
+        return leaf_value(params, X, None, None, None)
+    return leaf_value(params, X, *solve_u_batch(params, X))
+
+
+def leaf_value(params: Params, X: np.ndarray, u, central, skel) -> np.ndarray:
+    """value_batch at leaves (u, central, skel) already solved by solve_u_batch."""
+    if params.regime is Regime.DEGENERATE:
         return X[:, 1].copy() if params.r == 2 else X[:, 2].copy()
-    r, eps = params.r, params.eps
-    u, central, skel = solve_u_batch(params, X)
-    a1, x2 = np.abs(X[:, 0]), X[:, 1]
     out = np.empty(len(X))
-    if np.any(central):
-        uc = u[central]
-        out[central] = uc ** r + (x2[central] - uc * uc) * m_fn(r, eps, uc) / (2.0 * (uc + eps))
-    # the skeleton is the curve of constants: B = |x1|^r, as value() gives
-    out[skel] = [abs(x) ** r for x in X[skel, 0]]
-    rest = ~(central | skel)
-    if np.any(rest):
-        ur, t1 = u[rest], a1[rest]
-        mr_, kr_ = m_fn(r, eps, ur), k_fn(r, eps, ur)
-        quad = x2[rest] - t1 * t1 + (t1 - ur) ** 2
-        out[rest] = ur ** r + (mr_ - kr_) / (4.0 * eps) * quad + (mr_ + kr_) / 2.0 * (t1 - ur)
+    live = ~skel
+    out[live] = _plane(params.r, params.eps, u[live], np.abs(X[live, 0]), X[live, 1], central[live])
+    # the skeleton is the curve of constants: B = |x1|^r
+    out[skel] = [abs(x) ** params.r for x in X[skel, 0]]
     return out
 
 
 def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
-    """Vectorized analytic gradients over an (n, 3) array of interior points."""
-    X = np.asarray(pts, dtype=float)
+    """Vectorized analytic gradients over an (n, 3) array of interior points.
+
+    Points outside the body raise DomainError, as in value_batch; points
+    within margin of its boundary raise BoundaryError.
+    """
+    X = as_triples(pts)
     if params.regime is Regime.DEGENERATE:
+        _classify_inside(params, X)
         g = np.array([0.0, 1.0, 0.0]) if params.r == 2 else np.array([0.0, 0.0, 1.0])
         return np.tile(g, (len(X), 1))
+    u, central, _ = solve_u_batch(params, X)
     p, r, eps = params.p, params.r, params.eps
     a1, x2, x3 = np.abs(X[:, 0]), X[:, 1], X[:, 2]
     strip = margin * max(1.0, eps * eps)
-    low2, high2 = _envelope_batch(params, a1, x2)
+    low2, high2 = envelope_batch(params, a1, x2)
     gap = margin * np.maximum(1.0, high2 - low2)
     bad = (
         (x2 - a1 * a1 < strip)
@@ -508,7 +400,6 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
         raise BoundaryError(
             f"point ({X[i, 0]}, {X[i, 1]}, {X[i, 2]}) within margin {margin} of the domain boundary"
         )
-    u, central, _ = solve_u_batch(params, X)
     out = np.empty((len(X), 3))
     if np.any(central):
         uc = u[central]
@@ -547,9 +438,10 @@ def central_u_batch(params: Params, x2: float, x3: np.ndarray, iters: int = 80) 
     lo = np.zeros_like(x3)
     hi = np.full_like(x3, min(math.sqrt(x2), eps))
     sign = 1.0 if p < 2 else -1.0
+    fan = np.ones(x3.shape, dtype=bool)
 
     def f(u):
-        return (u ** p + (x2 - u * u) * m_fn(p, eps, u) / (2.0 * (u + eps)) - x3) * sign
+        return (_plane(p, eps, u, 0.0, x2, fan) - x3) * sign
 
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -561,5 +453,4 @@ def central_u_batch(params: Params, x2: float, x3: np.ndarray, iters: int = 80) 
 
 def central_value_batch(params: Params, x2: float, u: np.ndarray, exponent: float) -> np.ndarray:
     """Central-leaf plane values at chord parameters u, any exponent."""
-    eps = params.eps
-    return u ** exponent + (x2 - u * u) * m_fn(exponent, eps, u) / (2.0 * (u + eps))
+    return _plane(exponent, params.eps, u, 0.0, x2, np.ones(np.shape(u), dtype=bool))

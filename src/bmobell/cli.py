@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import testfn, verify
-from .bellman import solve_leaf, value
-from .domain import Params, Region, bellman2d, classify
+from .bellman import leaf_regions, leaf_value, solve_u_batch, value
+from .domain import Params, bellman2d, classify
 from .errors import BmoBellError
 
 
@@ -71,6 +71,9 @@ def _cmd_scan(args) -> int:
     x1 = args.x1
     eps = params.eps
     rows = ["x1,x2,x3,region,u,B"]
+    # every in-strip row of the slice is solved in one batch; slots keeps
+    # the row each point fills
+    pts, slots = [], []
     for x2 in np.linspace(x2lo, x2hi, n2):
         x2 = float(x2)
         if x2 < x1 * x1 or x2 > x1 * x1 + eps * eps:
@@ -79,11 +82,18 @@ def _cmd_scan(args) -> int:
         lo = bellman2d(params, x1, x2, "lower")
         hi = bellman2d(params, x1, x2, "upper")
         for x3 in np.linspace(lo, hi, n3):
-            x3 = float(x3)
-            leaf = solve_leaf(params, (x1, x2, x3))
-            got = value(params, (x1, x2, x3))
-            rows.append(
-                f"{_fmt(x1)},{_fmt(x2)},{_fmt(x3)},{leaf.region.value},{_fmt(leaf.u)},{_fmt(got)}"
+            slots.append(len(rows))
+            rows.append("")
+            pts.append((x1, x2, float(x3)))
+    if pts:
+        X = np.array(pts)
+        u, central, skel = solve_u_batch(params, X)
+        got = leaf_value(params, X, u, central, skel)
+        regions = leaf_regions(X[:, 0], central, skel)
+        for k, slot in enumerate(slots):
+            x1k, x2k, x3k = pts[k]
+            rows[slot] = (
+                f"{_fmt(x1k)},{_fmt(x2k)},{_fmt(x3k)},{regions[k].value},{_fmt(u[k])},{_fmt(got[k])}"
             )
     out = "\n".join(rows)
     if args.format == "json":

@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .specfn import k_fn, m_fn
 
@@ -119,6 +121,32 @@ def a_k(p: float, eps: float, x1: float, x2: float) -> float:
     return um ** p + k_fn(p, eps, um) * (a1 - um)
 
 
+def envelope_batch(params: Params, a1: np.ndarray, x2: np.ndarray):
+    """Envelope pair (lower, upper) over arrays of |x1| and x2 in the strip.
+
+    a_m and a_k elementwise, with the discriminant clipped to [0, eps^2] as
+    in tangent_params.
+    """
+    p, eps = params.p, params.eps
+    d = np.sqrt(np.clip(eps * eps - (x2 - a1 * a1), 0.0, eps * eps))
+    up = a1 - eps + d
+    um = a1 + eps - d
+    # tangent from the outward transform where it exists, central ray otherwise
+    upc = np.maximum(up, 0.0)
+    am = np.where(
+        up > 0.0,
+        upc ** p + m_fn(p, eps, upc) * (a1 - upc),
+        m_fn(p, eps, 0.0) * x2 / (2.0 * eps),
+    )
+    umc = np.maximum(um, eps)
+    ak = np.where(
+        x2 <= eps * eps,
+        x2 ** (p / 2.0),
+        umc ** p + k_fn(p, eps, umc) * (a1 - umc),
+    )
+    return (ak, am) if p > 2 else (am, ak)
+
+
 def bellman2d(params: Params, x1: float, x2: float, side: str) -> float:
     """Upper or lower extremal p-th moment over the strip point (x1, x2).
 
@@ -144,28 +172,46 @@ def omega3_contains(params: Params, x, tol: float = MEMBERSHIP_TOL) -> bool:
     return lo - tol <= x3 <= hi + tol
 
 
-def transition_level(params: Params, x2: float) -> float:
-    """x3 level of the flat transition leaf at chord parameter eps."""
+def transition_level(params: Params, x2):
+    """x3 level of the flat transition leaf at chord parameter eps; x2 may be an array."""
     p, eps = params.p, params.eps
     return eps ** p + (x2 - eps * eps) * m_fn(p, eps, eps) / (4.0 * eps)
 
 
-def classify(params: Params, x, tol: float = MEMBERSHIP_TOL) -> Region:
-    """Assign x to its foliation region.
+def as_triples(pts) -> np.ndarray:
+    """pts as an (n, 3) float array of moment triples."""
+    X = np.asarray(pts, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 3:
+        raise DomainError("expected an (n, 3) array of moment triples")
+    return X
+
+
+def classify_batch(params: Params, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Assign every row of an (n, 3) array to its foliation region.
 
     Skeleton points (x2 = x1^2) are tagged first; the central region
     XI_ZERO collects everything on its side of the transition leaf, ties
-    included; the rest splits by the sign of x1.
+    included; the rest splits by the sign of x1.  Returns an object array
+    of Region members.
     """
-    x1, x2, x3 = (float(v) for v in x)
-    if not omega3_contains(params, x, tol):
-        return Region.OUTSIDE
-    if x2 - x1 * x1 <= tol:
-        return Region.SKELETON
+    X = as_triples(pts)
+    x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
     p, eps = params.p, params.eps
-    if abs(x1) <= 2.0 * eps + tol and x2 >= 4.0 * eps * abs(x1) - 3.0 * eps * eps - tol:
-        if (p - 2.0) * (x3 - transition_level(params, x2)) >= -tol:
-            return Region.XI_ZERO
-    if x1 >= 0.0:
-        return Region.XI_PLUS
-    return Region.XI_MINUS
+    out = np.full(len(X), Region.OUTSIDE, dtype=object)
+    sq = x1 * x1
+    i = np.flatnonzero((sq - tol <= x2) & (x2 <= sq + eps * eps + tol))
+    lo, hi = envelope_batch(params, np.abs(x1[i]), x2[i])
+    i = i[(lo - tol <= x3[i]) & (x3[i] <= hi + tol)]
+    a1, y2 = np.abs(x1[i]), x2[i]
+    band = (a1 <= 2.0 * eps + tol) & (y2 >= 4.0 * eps * a1 - 3.0 * eps * eps - tol)
+    fan = band & ((p - 2.0) * (x3[i] - transition_level(params, y2)) >= -tol)
+    out[i] = Region.XI_PLUS
+    out[i[x1[i] < 0.0]] = Region.XI_MINUS
+    out[i[fan]] = Region.XI_ZERO
+    out[i[y2 - sq[i] <= tol]] = Region.SKELETON
+    return out
+
+
+def classify(params: Params, x, tol: float = MEMBERSHIP_TOL) -> Region:
+    """classify_batch of the single point x."""
+    return classify_batch(params, [[float(v) for v in x]], tol)[0]

@@ -111,7 +111,9 @@ def _m0(p: float, eps: float, u: np.ndarray, n: int) -> np.ndarray:
         s, w = _laguerre(max(n, 64))
         ub = u[~small]
         vals = (ub[:, None] + eps * s[None, :]) ** (p - 1)
-        out[~small] = p * vals @ w
+        # a row sum, not a matrix product: BLAS picks its kernel by batch
+        # size, which would make a value depend on the other rows
+        out[~small] = p * (vals * w).sum(axis=1)
     return out
 
 
@@ -171,7 +173,8 @@ def _k0(p: float, eps: float, u: np.ndarray, n: int) -> np.ndarray:
             mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
             t = mid[:, :, None] + half[:, :, None] * x[None, None, :]
             vals = np.exp((t - us[:, None, None]) / eps) * t ** (p - 1)
-            res[sel] = p / eps * np.einsum("ij,ijk,k->i", half, vals, w)
+            # row sums for the same reason as in _m0
+            res[sel] = p / eps * (half * (vals * w).sum(axis=2)).sum(axis=1)
         buf = np.zeros_like(uc)
         buf[live] = res
         out[sl] = buf

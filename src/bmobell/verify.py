@@ -27,9 +27,8 @@ from .bellman import (
     value,
     value_batch,
     gradient_batch,
-    _envelope_batch,
 )
-from .domain import Params, Regime, bellman2d, transition_level
+from .domain import Params, Regime, bellman2d, envelope_batch, transition_level
 from .errors import DomainError
 from .specfn import gamma_fn, k_fn, m_fn, quad_k, quad_m
 
@@ -143,7 +142,7 @@ def _interior_samples(params: Params, n: int, rng, margin: float = 1e-3):
     eps = params.eps
     x1 = rng.uniform(-3.0 * eps, 3.0 * eps, n)
     x2 = x1 * x1 + eps * eps * rng.uniform(margin, 1.0 - margin, n)
-    lo, hi = _envelope_batch(params, np.abs(x1), x2)
+    lo, hi = envelope_batch(params, np.abs(x1), x2)
     x3 = lo + (hi - lo) * rng.uniform(margin, 1.0 - margin, n)
     return np.column_stack([x1, x2, x3])
 
@@ -220,7 +219,8 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
 
     Each function is normalized to unit oscillation scale; its first, second
     and p-th moments locate a point whose evaluated bound must dominate
-    (or, in the convex regime, stay below) the measured r-th moment.
+    (or, in the convex regime, stay below) the measured r-th moment.  The
+    functions are drawn a scan stack at a time and only their moments kept.
     """
     if params.regime is Regime.DEGENERATE:
         raise DomainError("oracle needs a non-degenerate exponent pair")
@@ -228,9 +228,12 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
     seeds = np.random.SeedSequence(seed).generate_state(int(n_fns), dtype=np.uint64)
     pts = np.empty((int(n_fns), 3))
     xr = np.empty(int(n_fns))
-    for i, f in enumerate(testfn.random_step_fns([int(s) for s in seeds], cells, eps)):
-        pts[i] = (testfn.mean(f), testfn.second_moment(f), testfn.moments(f, p))
-        xr[i] = testfn.moments(f, r)
+    chunk = testfn._SCAN_CHUNK
+    for c in range(0, len(seeds), chunk):
+        block = testfn.random_step_fns([int(s) for s in seeds[c : c + chunk]], cells, eps)
+        for i, f in enumerate(block, start=c):
+            pts[i] = (testfn.mean(f), testfn.second_moment(f), testfn.moments(f, p))
+            xr[i] = testfn.moments(f, r)
     # snap float-rim cases onto the body; anything farther out means the
     # generator itself is broken and the run must not be trusted
     slack = 1e-9
@@ -238,7 +241,7 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
     if np.any(var > eps * eps * (1.0 + slack)) or np.any(var < -slack):
         raise RuntimeError("generated moments violate the strip constraint")
     pts[:, 1] = np.minimum(pts[:, 1], pts[:, 0] ** 2 + eps * eps)
-    lo, hi = _envelope_batch(params, np.abs(pts[:, 0]), pts[:, 1])
+    lo, hi = envelope_batch(params, np.abs(pts[:, 0]), pts[:, 1])
     sc = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     if np.any(pts[:, 2] < lo - slack * sc) or np.any(pts[:, 2] > hi + slack * sc):
         raise RuntimeError("generated moments violate the envelope constraint")

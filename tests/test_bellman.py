@@ -219,3 +219,33 @@ def test_continuity_across_the_interface():
         above = value(pa, (x1, x2, x3 + 1e-9))
         below = value(pa, (x1, x2, x3 - 1e-9))
         assert abs(above - below) <= 1e-7 * max(1.0, abs(above))
+
+
+def test_degenerate_batch_derivatives_check_membership_and_shape():
+    # r = 2 and r = p short-circuit the solve, but not the membership check
+    for pa in (Params(1.0, 2.0), Params(3.0, 3.0)):
+        with pytest.raises(DomainError, match="x2 = 5.0 outside"):
+            gradient_batch(pa, [[0.0, 5.0, 0.0]])
+        with pytest.raises(DomainError, match="x2 = 5.0 outside"):
+            hessian_leaf_batch(pa, [[0.0, 5.0, 0.0]])
+        with pytest.raises(DomainError, match="x2 = 5.0 outside"):
+            gradient(pa, (0.0, 5.0, 0.0))
+        for bad in ([0.3, 0.8, 0.7], np.zeros((2, 2))):
+            with pytest.raises(DomainError, match=r"\(n, 3\)"):
+                gradient_batch(pa, bad)
+            with pytest.raises(DomainError, match=r"\(n, 3\)"):
+                hessian_leaf_batch(pa, bad)
+        x1, x2 = 0.3, 0.8
+        x = (x1, x2, 0.5 * (bellman2d(pa, x1, x2, "lower") + bellman2d(pa, x1, x2, "upper")))
+        want = [0.0, 1.0, 0.0] if pa.r == 2 else [0.0, 0.0, 1.0]
+        assert gradient_batch(pa, [x]).tolist() == [want]
+        assert gradient(pa, x).tolist() == want
+        assert hessian_leaf_batch(pa, [x]).tolist() == [np.zeros((3, 3)).tolist()]
+
+
+def test_batch_derivatives_check_shape():
+    for bad in ([0.3, 0.8, 0.7], np.zeros((2, 2))):
+        with pytest.raises(DomainError, match=r"\(n, 3\)"):
+            gradient_batch(PA, bad)
+        with pytest.raises(DomainError, match=r"\(n, 3\)"):
+            hessian_leaf_batch(PA, bad)

@@ -3,9 +3,11 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from bmobell import cli, from_csv, moments
+import bmobell.bellman
+from bmobell import Params, cli, from_csv, moments, solve_u_batch, value_batch
 
 
 def run(argv, capsys):
@@ -132,6 +134,34 @@ def test_scan_json_format(capsys):
     rows = json.loads(out)
     assert len(rows) == 3
     assert rows[0]["region"] in ("XiZero", "XiPlus", "XiMinus", "Skeleton")
+
+
+def test_scan_solves_every_row_in_one_batch(capsys, monkeypatch):
+    calls = {"solve_u_batch": 0, "solve_leaf": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "solve_u_batch", counted("solve_u_batch", cli.solve_u_batch))
+    monkeypatch.setattr(bmobell.bellman, "solve_leaf", counted("solve_leaf", bmobell.bellman.solve_leaf))
+    # x1 = 0.7 from the skeleton row x2 = 0.49 up past the strip top: skeleton,
+    # central, chord and outside rows in one slice
+    code, out, _ = run(
+        ["scan", "--p", "1", "--r", "3", "--x1", "0.7", "--grid", "0.49:1.6:12,9"], capsys
+    )
+    assert code == 0
+    assert calls == {"solve_u_batch": 1, "solve_leaf": 0}
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert {r[3] for r in rows} == {"Skeleton", "XiZero", "XiPlus", "Outside"}
+    live = [r for r in rows if r[3] != "Outside"]
+    X = np.array([[float(v) for v in r[:3]] for r in live])
+    pa = Params(1.0, 3.0)
+    assert [float(r[5]) for r in live] == value_batch(pa, X).tolist()
+    assert [float(r[4]) for r in live] == solve_u_batch(pa, X)[0].tolist()
 
 
 def test_scan_grid_parse_errors(capsys):

@@ -14,6 +14,7 @@ from bmobell import (
     a_m,
     bellman2d,
     classify,
+    classify_batch,
     gamma_fn,
     k_fn,
     m_fn,
@@ -189,3 +190,38 @@ def test_classify_is_even_in_x1_up_to_side():
             assert left is Region.XI_MINUS
         else:
             assert left is right
+
+
+def classify_reference(pa, x, tol=1e-12):
+    """The region rules point by point, from the scalar membership and envelopes."""
+    x1, x2, x3 = x
+    eps = pa.eps
+    if not omega3_contains(pa, x, tol):
+        return Region.OUTSIDE
+    if x2 - x1 * x1 <= tol:
+        return Region.SKELETON
+    if abs(x1) <= 2.0 * eps + tol and x2 >= 4.0 * eps * abs(x1) - 3.0 * eps * eps - tol:
+        if (pa.p - 2.0) * (x3 - transition_level(pa, x2)) >= -tol:
+            return Region.XI_ZERO
+    return Region.XI_PLUS if x1 >= 0.0 else Region.XI_MINUS
+
+
+def test_classify_batch_matches_the_pointwise_rules():
+    rng = np.random.default_rng(19)
+    for pa in (Params(1.0, 3.0), Params(4.0, 3.0, 0.6), Params(1.999, 10.0, 3.0)):
+        eps = pa.eps
+        n = 300
+        x1 = eps * rng.uniform(-3.0, 3.0, n)
+        # strip fractions past both rims, a few skeleton points, x3 past both envelopes
+        f2 = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(-0.1, 1.1, n))
+        x2 = x1 * x1 + eps * eps * f2
+        inside = (f2 >= 0.0) & (f2 <= 1.0)
+        lo = np.array([bellman2d(pa, a, b, "lower") if ok else 0.0 for a, b, ok in zip(x1, x2, inside)])
+        hi = np.array([bellman2d(pa, a, b, "upper") if ok else 1.0 for a, b, ok in zip(x1, x2, inside)])
+        x3 = np.where(f2 == 0.0, np.abs(x1) ** pa.p, lo + (hi - lo) * rng.uniform(-0.1, 1.1, n))
+        X = np.column_stack([x1, x2, x3])
+        got = classify_batch(pa, X)
+        want = [classify_reference(pa, tuple(x)) for x in X]
+        assert got.tolist() == want
+        assert {Region.OUTSIDE, Region.SKELETON, Region.XI_ZERO, Region.XI_PLUS, Region.XI_MINUS} <= set(want)
+        assert [classify(pa, x) for x in X[:50]] == want[:50]
