@@ -2,20 +2,19 @@
 
 Every interior moment triple x sits on exactly one supporting leaf, indexed
 by a chord parameter u.  One vectorized kernel locates the leaves of a
-whole batch: classify_batch picks each point's leaf family, and a masked
-bisection on the defining plane equation in the p-coordinate runs every
-point to float resolution under one contract, with the same brackets,
-endpoint clamps and residual target for all of them.  The function value
-is the same plane in the r-coordinate at the solved u; the gradient and
-the leafwise Hessian come from closed expressions in the transforms m and
-k there.  solve_leaf, value and gradient are one-row calls of
+whole batch: classify_batch picks each point's leaf family, and a masked,
+bracketed Newton-bisection on the defining plane equation in the
+p-coordinate runs every point to its noise floor under one contract, with
+the same brackets, endpoint clamps and residual target for all of them.
+The function value is the same plane in the r-coordinate at the solved u;
+the gradient and the leafwise Hessian come from closed expressions in the
+transforms m and k there.  solve_leaf, value and gradient are one-row calls of
 solve_u_batch, value_batch and gradient_batch, so the scalar and batch
 answers are the same bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +25,18 @@ from .domain import (
     Region,
     as_triples,
     bellman2d,
+    chord_params,
     classify_batch,
     envelope_batch,
 )
-from .errors import BoundaryError, ConvergenceError, DomainError
+from .errors import BoundaryError, ConvergenceError, DomainError, SingularityError
 from .specfn import k_fn, m_fn
 
-_BISECT_MAX = 200
+_STEP_MAX = 200
 _RESIDUAL_REL = 1e-12
 _CLAMP_REL = 1e-10
+# a step within this many ulps of u ends a row's solve
+_STEP_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -46,77 +48,140 @@ class Leaf:
     bracket: tuple[float, float]
 
 
-def _plane(q: float, eps: float, u, a1, x2, central) -> np.ndarray:
+def _plane(q: float, eps: float, u, a1, x2, central, slope: bool = False):
     """Supporting plane, exponent q, of the leaf at chord parameter u over (|x1|, x2).
 
     central[i] picks the x1-independent central leaf, otherwise the
-    two-sided tangent chord leaf.  u, a1, x2 and central are arrays of one
-    shape, except that a1 and x2 may be scalars when every leaf is central.
+    two-sided tangent chord leaf; u, a1, x2 and central are arrays of one
+    shape.  With slope it returns (plane, d plane / du), the derivative
+    taken from the same m and k through m' = (m - q u^(q-1)) / eps and
+    k' = (q u^(q-1) - k) / eps, so it costs no further transform call.
     """
     m = m_fn(q, eps, u)
-    out = u ** q + (x2 - u * u) * m / (2.0 * (u + eps))
+    w = x2 - u * u
+    out = u ** q + w * m / (2.0 * (u + eps))
+    if slope:
+        g = q * u ** (q - 1.0)
+        d = g + (-2.0 * u * m + w * (m - g) / eps) / (2.0 * (u + eps)) - w * m / (2.0 * (u + eps) ** 2)
     chord = ~central
     if np.any(chord):
         uh, t1, mq = u[chord], a1[chord], m[chord]
         kq = k_fn(q, eps, uh)
         quad = x2[chord] - t1 * t1 + (t1 - uh) ** 2
         out[chord] = uh ** q + (mq - kq) / (4.0 * eps) * quad + (mq + kq) / 2.0 * (t1 - uh)
-    return out
+        if slope:
+            # the (t1 - u) terms cancel: d = (m' - k') (quad - 2 eps^2) / (4 eps)
+            d[chord] = (mq + kq - 2.0 * g[chord]) / eps * (quad - 2.0 * eps * eps) / (4.0 * eps)
+    return (out, d) if slope else out
+
+
+def _coeffs(q: float, eps: float, u, central, second: bool = False):
+    """Leaf coefficients, exponent q, at chord parameters u.
+
+    Returns (t1, t2, d, d1): the |x1| and x2 coefficients of the plane of
+    _plane, the rate d whose ratio between exponents r and p is dB/dx3,
+    and with second the u-derivative d1 of d (otherwise None).  Orders 1
+    and 2 of m and k come from their recurrences with the arithmetic of
+    m_fn and k_fn, so one transform call per family serves every order.
+    """
+    if q < 2 and np.any(u[central] == 0.0):
+        raise SingularityError(f"leaf rates are singular at u = 0 for exponent {q} < 2")
+    m = m_fn(q, eps, u)
+    m1 = (m - q * u ** (q - 1)) / eps
+    t1, t2 = np.zeros_like(u), m / (2.0 * (u + eps))
+    d = m1 - q * u ** (q - 2.0)
+    m2 = (m1 - q * (q - 1) * u ** (q - 2)) / eps if second else None
+    d1 = m2 - q * (q - 2.0) * u ** (q - 3.0) if second else None
+    chord = ~central
+    if np.any(chord):
+        uh, mh = u[chord], m[chord]
+        uk = np.maximum(uh, eps)
+        k = k_fn(q, eps, uh)
+        k1 = (q * uk ** (q - 1) - k) / eps
+        t1[chord] = -uh * (mh - k) / (2.0 * eps) + (mh + k) / 2.0
+        t2[chord] = (mh - k) / (4.0 * eps)
+        d[chord] = m1[chord] - k1
+        if second:
+            d1[chord] = m2[chord] - (q * (q - 1) * uk ** (q - 2) - k1) / eps
+    return t1, t2, d, d1
 
 
 def _brackets(eps: float, a1, x2, central):
     """Chord-parameter bracket (lo, hi) of each point's leaf family; empty when lo > hi."""
-    d = np.sqrt(np.clip(eps * eps - (x2 - a1 * a1), 0.0, eps * eps))
-    up, um = a1 - eps + d, a1 + eps - d
+    x2, up, um = chord_params(eps, a1, x2)
     lo = np.where(central, np.maximum(0.0, up), np.maximum(eps, up))
     hi = np.where(central, np.minimum(np.sqrt(x2), eps), um)
     return lo, hi
 
 
-def _bisect(f, lo, hi, increasing: bool, scale):
-    """Masked bisection for f(u, rows) = 0, monotone in u, one bracket per row.
+def _newton(f, lo, hi, increasing: bool, scale):
+    """Masked bracketed Newton-bisection for f(u, rows) = 0, monotone in u.
 
-    Each row clamps to a bracket end whose level misses by at most
-    _CLAMP_REL * scale, otherwise halves its bracket until the midpoint
-    equals an end, for at most _BISECT_MAX steps, and keeps the u of the
-    smallest |f| it saw.  Returns (u, residual, state) with state 1
-    solved, 0 level outside the bracket, -1 stalled above the target.
+    f returns the residual and its u-derivative at each (u, row).  Each
+    row clamps to a bracket end whose level misses by at most
+    _CLAMP_REL * scale.  Otherwise it starts at the end nearer the level
+    and steps as rtsafe does (Press et al., Numerical Recipes, 9.4): a
+    Newton step, or the bracket midpoint when the Newton iterate is not
+    finite, leaves the bracket, or would not halve the step before last.
+    A row stops when its residual is zero, its next Newton step is within
+    _STEP_ULPS ulps of u, its bracket has collapsed, or its smallest |f|
+    meets the target while its steps have stopped shrinking (the noise
+    floor); at most _STEP_MAX steps.  It keeps the u of the smallest |f|
+    it saw.  Returns (u, residual, state) with state 1 solved, 0 level
+    outside the bracket, -1 stalled above the target.
     """
     n = lo.size
     rows = np.arange(n)
-    ends = f(np.concatenate([lo, hi]), np.concatenate([rows, rows]))
+    sign = 1.0 if increasing else -1.0
+    ends, slopes = f(np.concatenate([lo, hi]), np.concatenate([rows, rows]))
+    # with the sign folded in, f <= 0 at lo and f >= 0 at hi inside a bracket
+    ends, slopes = sign * ends, sign * slopes
     flo, fhi = ends[:n], ends[n:]
-    # orient every bracket so that f <= 0 at a and f >= 0 at b
-    a, b = (lo.copy(), hi.copy()) if increasing else (hi.copy(), lo.copy())
-    if not increasing:
-        flo, fhi = fhi, flo
     clamp = _CLAMP_REL * scale
     u, res, state = np.empty(n), np.empty(n), np.ones(n, dtype=int)
     low = flo > 0.0
     high = ~low & (fhi < 0.0)
-    u[low], res[low] = a[low], flo[low]
-    u[high], res[high] = b[high], -fhi[high]
+    u[low], res[low] = lo[low], flo[low]
+    u[high], res[high] = hi[high], -fhi[high]
     state[(low | high) & (res > clamp)] = 0
     run = np.flatnonzero(~(low | high))
-    a, b = a[run], b[run]
-    fa, fb = np.abs(flo[run]), np.abs(fhi[run])
-    best_u, best_f = np.where(fa <= fb, a, b), np.minimum(fa, fb)
-    live = np.arange(run.size)
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (a[live] + b[live])
-        moving = (mid != a[live]) & (mid != b[live])
-        live, mid = live[moving], mid[moving]
+    a, b = lo[run], hi[run]
+    near = -flo[run] <= fhi[run]
+    x = np.where(near, a, b)
+    fx = np.where(near, flo[run], fhi[run])
+    dfx = np.where(near, slopes[:n][run], slopes[n:][run])
+    best_u, best_f = x.copy(), np.abs(fx)
+    target = _RESIDUAL_REL * scale[run]
+    step, prev = np.full((2, run.size), np.inf)
+    mid = 0.5 * (a + b)
+    live = np.flatnonzero((fx != 0.0) & (mid != a) & (mid != b))
+    for _ in range(_STEP_MAX):
         if live.size == 0:
             break
-        fm = f(mid, run[live])
-        better = np.abs(fm) < best_f[live]
-        best_u[live[better]] = mid[better]
-        best_f[live[better]] = np.abs(fm[better])
-        neg = fm < 0.0
-        a[live[neg]] = mid[neg]
-        b[live[~neg]] = mid[~neg]
+        al, bl, xl, fl, dl = a[live], b[live], x[live], fx[live], dfx[live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xn = xl - fl / dl
+            newton = (xn > al) & (xn < bl) & (np.abs(2.0 * fl) <= np.abs(prev[live] * dl))
+        xn = np.where(newton, xn, 0.5 * (al + bl))
+        prev[live], step[live], x[live] = step[live], np.abs(xn - xl), xn
+        fv, dv = f(xn, run[live])
+        fv, dv = sign * fv, sign * dv
+        fx[live], dfx[live] = fv, dv
+        better = np.abs(fv) < best_f[live]
+        best_u[live[better]] = xn[better]
+        best_f[live[better]] = np.abs(fv[better])
+        neg = fv < 0.0
+        a[live[neg]] = xn[neg]
+        b[live[~neg]] = xn[~neg]
+        al, bl = a[live], b[live]
+        mid = 0.5 * (al + bl)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nxt = np.abs(fv / dv)
+        done = (fv == 0.0) | (nxt <= _STEP_ULPS * np.spacing(np.abs(xn))) | (mid == al) | (mid == bl)
+        done |= (best_f[live] <= target[live]) & (nxt >= 0.5 * step[live])
+        live = live[~done]
     u[run], res[run] = best_u, best_f
-    state[run[~(best_f <= _RESIDUAL_REL * scale[run])]] = -1
+    state[run[~(best_f <= target)]] = -1
     return u, res, state
 
 
@@ -168,15 +233,14 @@ def solve_u_batch(params: Params, pts):
 
         def f(v, rows):
             i = sub[rows]
-            return _plane(p, eps, v, a1[i], x2[i], sfam[rows]) - x3[i]
+            val, slope = _plane(p, eps, v, a1[i], x2[i], sfam[rows], slope=True)
+            return val - x3[i], slope
 
-        got, res, state = _bisect(f, lo[has], hi[has], p < 2, np.maximum(1.0, np.abs(x3[sub])))
+        got, res, state = _newton(f, lo[has], hi[has], p < 2, np.maximum(1.0, np.abs(x3[sub])))
         if np.any(state < 0):
             k = int(np.flatnonzero(state < 0)[0])
             target = _RESIDUAL_REL * max(1.0, abs(x3[sub[k]]))
-            raise ConvergenceError(
-                f"leaf bisection stalled at residual {res[k]:.3e} (target {target:.3e})"
-            )
+            raise ConvergenceError(f"leaf solve stalled at residual {res[k]:.3e} (target {target:.3e})")
         done = state > 0
         u[sub[done]] = got[done]
         central[sub[done]] = sfam[done]
@@ -294,61 +358,28 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     front is the only carrier of curvature sign.  Eigenvalue checks against
     this form are exact up to symmetric-eigensolver roundoff, which the
     finite-difference route cannot match near the domain boundary.
+    Skeleton points, where no leaf passes transversally, raise
+    BoundaryError as in gradient_batch.
     """
     X = as_triples(pts)
     p, r, eps = params.p, params.r, params.eps
     if params.regime is Regime.DEGENERATE:
         _classify_inside(params, X)
         return np.zeros((len(X), 3, 3))
-    u, central, _ = solve_u_batch(params, X)
+    u, central, skel = solve_u_batch(params, X)
+    _refuse_boundary(X, skel, 0.0)
     x1, x2 = X[:, 0], X[:, 1]
-    out = np.zeros((len(X), 3, 3))
-
-    def rank_one(coef, w):
-        return coef[:, None, None] * w[:, :, None] * w[:, None, :]
-
-    if np.any(central):
-        # floor keeps the u^(q-3) factors finite on the axis leaf; the
-        # collapsed expressions have a limit there and the floor only
-        # perturbs by an ulp-scale amount
-        uc = np.maximum(u[central], 1e-15)
-        x2c = x2[central]
-        mp_, mr_ = m_fn(p, eps, uc), m_fn(r, eps, uc)
-        m1p, m1r = m_fn(p, eps, uc, 1), m_fn(r, eps, uc, 1)
-        m2p, m2r = m_fn(p, eps, uc, 2), m_fn(r, eps, uc, 2)
-        dp_ = m1p - p * uc ** (p - 2.0)
-        dr_ = m1r - r * uc ** (r - 2.0)
-        dp1 = m2p - p * (p - 2.0) * uc ** (p - 3.0)
-        dr1 = m2r - r * (r - 2.0) * uc ** (r - 3.0)
-        rho1 = (dr1 * dp_ - dr_ * dp1) / (dp_ * dp_)
-        t2 = mp_ / (2.0 * (uc + eps))
-        fu = (
-            p * uc ** (p - 1.0)
-            + (-2.0 * uc * mp_ + (x2c - uc * uc) * m1p) / (2.0 * (uc + eps))
-            - (x2c - uc * uc) * mp_ / (2.0 * (uc + eps) ** 2)
-        )
-        w = np.stack([np.zeros_like(uc), t2, -np.ones_like(uc)], axis=1)
-        out[central] = rank_one(rho1 / fu, w)
-    rest = ~central
-    if np.any(rest):
-        ur = u[rest]
-        a1r, x2r = np.abs(x1[rest]), x2[rest]
-        mp_, kp_ = m_fn(p, eps, ur), k_fn(p, eps, ur)
-        m1p, k1p = m_fn(p, eps, ur, 1), k_fn(p, eps, ur, 1)
-        m2p, k2p = m_fn(p, eps, ur, 2), k_fn(p, eps, ur, 2)
-        m1r, k1r = m_fn(r, eps, ur, 1), k_fn(r, eps, ur, 1)
-        m2r, k2r = m_fn(r, eps, ur, 2), k_fn(r, eps, ur, 2)
-        dmkp, dmkr = m1p - k1p, m1r - k1r
-        rho1 = ((m2r - k2r) * dmkp - dmkr * (m2p - k2p)) / (dmkp * dmkp)
-        t1 = -ur * (mp_ - kp_) / (2.0 * eps) + (mp_ + kp_) / 2.0
-        t2 = (mp_ - kp_) / (4.0 * eps)
-        quad = x2r - 2.0 * a1r * ur + ur * ur
-        fu = dmkp * (quad - 2.0 * eps * eps) / (4.0 * eps)
-        # mirror symmetry flips the x1 component of the plane gradient
-        t1 = np.where(x1[rest] < 0.0, -t1, t1)
-        w = np.stack([t1, t2, -np.ones_like(ur)], axis=1)
-        out[rest] = rank_one(rho1 / fu, w)
-    return out
+    # floor keeps the u^(q-3) factors finite on the axis leaf; the collapsed
+    # expressions have a limit there and the floor only perturbs by an
+    # ulp-scale amount
+    uf = np.maximum(u, 1e-15)
+    fu = _plane(p, eps, uf, np.abs(x1), x2, central, slope=True)[1]
+    t1, t2, dp, dp1 = _coeffs(p, eps, uf, central, second=True)
+    _, _, dr, dr1 = _coeffs(r, eps, uf, central, second=True)
+    # mirror symmetry flips the x1 component of the plane gradient
+    w = np.stack([np.where(x1 < 0.0, -t1, t1), t2, -np.ones_like(u)], axis=1)
+    coef = (dr1 * dp - dr * dp1) / (dp * dp) / fu
+    return coef[:, None, None] * w[:, :, None] * w[:, None, :]
 
 
 def value_batch(params: Params, pts) -> np.ndarray:
@@ -370,6 +401,15 @@ def leaf_value(params: Params, X: np.ndarray, u, central, skel) -> np.ndarray:
     # the skeleton is the curve of constants: B = |x1|^r
     out[skel] = [abs(x) ** params.r for x in X[skel, 0]]
     return out
+
+
+def _refuse_boundary(X: np.ndarray, bad, margin: float):
+    """BoundaryError naming the first row of X flagged in bad."""
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise BoundaryError(
+            f"point ({X[i, 0]}, {X[i, 1]}, {X[i, 2]}) within margin {margin} of the domain boundary"
+        )
 
 
 def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
@@ -395,62 +435,16 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
         | (x3 - low2 < gap)
         | (high2 - x3 < gap)
     )
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise BoundaryError(
-            f"point ({X[i, 0]}, {X[i, 1]}, {X[i, 2]}) within margin {margin} of the domain boundary"
-        )
-    out = np.empty((len(X), 3))
-    if np.any(central):
-        uc = u[central]
-        mp_, mr_ = m_fn(p, eps, uc), m_fn(r, eps, uc)
-        m1p, m1r = m_fn(p, eps, uc, 1), m_fn(r, eps, uc, 1)
-        rho = (m1r - r * uc ** (r - 2.0)) / (m1p - p * uc ** (p - 2.0))
-        out[central, 0] = 0.0
-        out[central, 1] = (mr_ - rho * mp_) / (2.0 * (uc + eps))
-        out[central, 2] = rho
-    rest = ~central
-    if np.any(rest):
-        ur = u[rest]
-        mp_, kp_ = m_fn(p, eps, ur), k_fn(p, eps, ur)
-        mr_, kr_ = m_fn(r, eps, ur), k_fn(r, eps, ur)
-        m1p, k1p = m_fn(p, eps, ur, 1), k_fn(p, eps, ur, 1)
-        m1r, k1r = m_fn(r, eps, ur, 1), k_fn(r, eps, ur, 1)
-        rho = (m1r - k1r) / (m1p - k1p)
-        s1 = -ur * (mr_ - kr_) / (2.0 * eps) + (mr_ + kr_) / 2.0
-        t1 = -ur * (mp_ - kp_) / (2.0 * eps) + (mp_ + kp_) / 2.0
-        g1 = s1 - rho * t1
-        g1 = np.where(X[rest, 0] < 0.0, -g1, g1)
-        out[rest, 0] = g1
-        out[rest, 1] = (mr_ - kr_) / (4.0 * eps) - rho * (mp_ - kp_) / (4.0 * eps)
-        out[rest, 2] = rho
-    return out
+    _refuse_boundary(X, bad, margin)
+    t1p, t2p, dp, _ = _coeffs(p, eps, u, central)
+    t1r, t2r, dr, _ = _coeffs(r, eps, u, central)
+    rho = dr / dp
+    g1 = t1r - rho * t1p
+    return np.column_stack([np.where(X[:, 0] < 0.0, -g1, g1), t2r - rho * t2p, rho])
 
 
-def central_u_batch(params: Params, x2: float, x3: np.ndarray, iters: int = 80) -> np.ndarray:
-    """Vectorized leaf parameters for points (0, x2, x3[i]) of the central slice.
-
-    Clamps to the admissible chord range; intended for dense scans where
-    every x3 already lies between the envelope values.
-    """
-    p, eps = params.p, params.eps
+def central_u_batch(params: Params, x2: float, x3) -> np.ndarray:
+    """Leaf parameters of the points (0, x2, x3[i]) of the centred slice: solve_u_batch of those rows."""
     x3 = np.asarray(x3, dtype=float)
-    lo = np.zeros_like(x3)
-    hi = np.full_like(x3, min(math.sqrt(x2), eps))
-    sign = 1.0 if p < 2 else -1.0
-    fan = np.ones(x3.shape, dtype=bool)
-
-    def f(u):
-        return (_plane(p, eps, u, 0.0, x2, fan) - x3) * sign
-
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def central_value_batch(params: Params, x2: float, u: np.ndarray, exponent: float) -> np.ndarray:
-    """Central-leaf plane values at chord parameters u, any exponent."""
-    return _plane(exponent, params.eps, u, 0.0, x2, np.ones(np.shape(u), dtype=bool))
+    X = np.column_stack([np.zeros(x3.size), np.full(x3.size, float(x2)), x3.ravel()])
+    return solve_u_batch(params, X)[0].reshape(x3.shape)

@@ -10,7 +10,6 @@ from tangent chords of the lower parabola.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +75,18 @@ def omega2_contains(eps: float, x1: float, x2: float, tol: float = MEMBERSHIP_TO
     return x1 * x1 - tol <= x2 <= x1 * x1 + eps * eps + tol
 
 
+def chord_params(eps: float, x1, x2):
+    """(x2, u_plus, u_minus) over arrays of x1 and x2 in the strip, x2 clipped up to x1^2.
+
+    The one place where a point a rounding error below the lower parabola
+    is lifted onto it, and where the discriminant of the two tangent
+    chords is clipped to [0, eps^2].
+    """
+    x2 = np.maximum(x2, x1 * x1)
+    d = np.sqrt(np.clip(eps * eps - (x2 - x1 * x1), 0.0, eps * eps))
+    return x2, x1 - eps + d, x1 + eps - d
+
+
 def tangent_params(eps: float, x1: float, x2: float) -> tuple[float, float]:
     """Chord parameters (u_plus, u_minus) of the two extreme tangent chords
     through (x1, x2).
@@ -85,9 +96,37 @@ def tangent_params(eps: float, x1: float, x2: float) -> tuple[float, float]:
     """
     if not omega2_contains(eps, x1, x2):
         raise DomainError(f"point ({x1}, {x2}) outside the strip for eps = {eps}")
-    disc = eps * eps - (x2 - x1 * x1)
-    d = math.sqrt(min(max(disc, 0.0), eps * eps))
-    return x1 - eps + d, x1 + eps - d
+    _, up, um = chord_params(eps, np.array([x1]), np.array([x2]))
+    return float(up[0]), float(um[0])
+
+
+def _a_m(p: float, eps: float, a1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    x2, up, _ = chord_params(eps, a1, x2)
+    # tangent from the outward transform where it exists, central ray otherwise
+    out = m_fn(p, eps, 0.0) * x2 / (2.0 * eps)
+    t = up > 0.0
+    if np.any(t):
+        ut = up[t]
+        out[t] = ut ** p + m_fn(p, eps, ut) * (a1[t] - ut)
+    return out
+
+
+def _a_k(p: float, eps: float, a1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    x2, _, um = chord_params(eps, a1, x2)
+    out = x2 ** (p / 2.0)
+    t = x2 > eps * eps
+    if np.any(t):
+        ut = np.maximum(um[t], eps)
+        out[t] = ut ** p + k_fn(p, eps, ut) * (a1[t] - ut)
+    return out
+
+
+def _one_point(envelope, p: float, eps: float, x1: float, x2: float) -> float:
+    if not p >= 1:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if not omega2_contains(eps, x1, x2):
+        raise DomainError(f"point ({x1}, {x2}) outside the strip for eps = {eps}")
+    return float(envelope(p, eps, np.array([abs(x1)]), np.array([float(x2)]))[0])
 
 
 def a_m(p: float, eps: float, x1: float, x2: float) -> float:
@@ -97,13 +136,7 @@ def a_m(p: float, eps: float, x1: float, x2: float) -> float:
     across the central triangle by the ray value m(0) * x2 / (2 eps).
     Even in x1.
     """
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    a1 = abs(x1)
-    up, _ = tangent_params(eps, a1, x2)
-    if up > 0.0:
-        return up ** p + m_fn(p, eps, up) * (a1 - up)
-    return m_fn(p, eps, 0.0) * x2 / (2.0 * eps)
+    return _one_point(_a_m, p, eps, x1, x2)
 
 
 def a_k(p: float, eps: float, x1: float, x2: float) -> float:
@@ -112,38 +145,18 @@ def a_k(p: float, eps: float, x1: float, x2: float) -> float:
     Below the level x2 = eps^2 it is the pure power cup x2^(p/2); above,
     the backward tangent chord extension u^p + k(u)(x1-u).  Even in x1.
     """
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    a1 = abs(x1)
-    _, um = tangent_params(eps, a1, x2)
-    if x2 <= eps * eps:
-        return x2 ** (p / 2.0)
-    return um ** p + k_fn(p, eps, um) * (a1 - um)
+    return _one_point(_a_k, p, eps, x1, x2)
 
 
 def envelope_batch(params: Params, a1: np.ndarray, x2: np.ndarray):
     """Envelope pair (lower, upper) over arrays of |x1| and x2 in the strip.
 
-    a_m and a_k elementwise, with the discriminant clipped to [0, eps^2] as
-    in tangent_params.
+    a_m and a_k elementwise; each transform is evaluated only on the rows
+    whose tangent chord uses it.
     """
     p, eps = params.p, params.eps
-    d = np.sqrt(np.clip(eps * eps - (x2 - a1 * a1), 0.0, eps * eps))
-    up = a1 - eps + d
-    um = a1 + eps - d
-    # tangent from the outward transform where it exists, central ray otherwise
-    upc = np.maximum(up, 0.0)
-    am = np.where(
-        up > 0.0,
-        upc ** p + m_fn(p, eps, upc) * (a1 - upc),
-        m_fn(p, eps, 0.0) * x2 / (2.0 * eps),
-    )
-    umc = np.maximum(um, eps)
-    ak = np.where(
-        x2 <= eps * eps,
-        x2 ** (p / 2.0),
-        umc ** p + k_fn(p, eps, umc) * (a1 - umc),
-    )
+    a1, x2 = np.broadcast_arrays(np.asarray(a1, dtype=float), np.asarray(x2, dtype=float))
+    am, ak = _a_m(p, eps, a1, x2), _a_k(p, eps, a1, x2)
     return (ak, am) if p > 2 else (am, ak)
 
 

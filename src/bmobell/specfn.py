@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad as _adaptive_quad
 from scipy.special import gammaincc, roots_jacobi
 
 from .errors import DomainError, SingularityError
@@ -259,11 +258,14 @@ def quad_k(p: float, eps: float, u, order: int = 0, quad: QuadratureSpec | None 
     if np.any(arr < eps * (1.0 - 1e-12)):
         raise DomainError(f"quad_k needs u >= eps = {eps}")
     tol = spec.target_abs_tol
+    # imported here: scipy.integrate adds about 26 MB to every process that
+    # imports bmobell, and only this cross-check uses it
+    from scipy.integrate import quad as adaptive_quad
 
     def one(ui: float, a: float, factor: float) -> float:
         if ui <= eps:
             return 0.0
-        val, _ = _adaptive_quad(
+        val, _ = adaptive_quad(
             lambda t: math.exp((t - ui) / eps) * t ** a,
             eps, ui, epsabs=tol, epsrel=tol, limit=200,
         )

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import testfn
 from .bellman import (
-    central_u_batch,
-    central_value_batch,
     hessian_leaf_batch,
+    leaf_value,
+    solve_u_batch,
     value,
     value_batch,
     gradient_batch,
 )
-from .domain import Params, Regime, bellman2d, envelope_batch, transition_level
+from .domain import Params, Regime, envelope_batch, transition_level
 from .errors import DomainError
 from .specfn import gamma_fn, k_fn, m_fn, quad_k, quad_m
 
@@ -311,37 +311,43 @@ def edge_ratio(params: Params, u):
     return num / den
 
 
+# points per solve_u_batch call of the centred-slice scan, which bounds its memory
+_SLICE_BLOCK = 1 << 12
+
+
 def extract_constant(params: Params, grid_density: int):
     """Scan the centered slice for the largest value-to-moment ratio.
 
     Returns (c_observed, argmax) where c_observed is the r-th root of the
     best ratio.  Ties within a relative 1e-12 band resolve toward larger
     second and third coordinates, which pins the reported argmax to the
-    far corner of the ridge the ratio is constant along.
+    far corner of the ridge the ratio is constant along.  The slice goes
+    through solve_u_batch and leaf_value, _SLICE_BLOCK points at a time.
     """
     if params.regime is not Regime.MAX:
         raise DomainError("constant extraction runs in the concave regime")
     if params.eps != 1.0:
         raise DomainError("normalize the oscillation scale to 1 before scanning")
     n = int(grid_density)
-    r = params.r
+    x2s = np.linspace(0.0, 1.0, n + 1)[1:]
+    lines = max(1, _SLICE_BLOCK // n)
     best, arg = -math.inf, None
-    for x2 in np.linspace(0.0, 1.0, n + 1)[1:]:
-        x2 = float(x2)
-        lo = bellman2d(params, 0.0, x2, "lower")
-        hi = bellman2d(params, 0.0, x2, "upper")
-        x3 = np.linspace(lo, hi, n)
-        u = central_u_batch(params, x2, x3)
-        ratio = central_value_batch(params, x2, u, r) / x3
-        m = float(ratio.max())
-        ties = np.flatnonzero(ratio >= m - 1e-12 * abs(m))
-        j = int(ties[-1])
-        if m > best + 1e-12 * abs(m):
-            best, arg = m, (0.0, x2, float(x3[j]))
-        elif m >= best - 1e-12 * abs(best):
-            best = max(best, m)
-            arg = (0.0, x2, float(x3[j]))
-    return best ** (1.0 / r), arg
+    for start in range(0, n, lines):
+        x2 = x2s[start : start + lines]
+        lo, hi = envelope_batch(params, np.zeros_like(x2), x2)
+        x3 = np.linspace(lo, hi, n, axis=1)
+        X = np.column_stack([np.zeros(x3.size), np.repeat(x2, n), x3.ravel()])
+        ratios = (leaf_value(params, X, *solve_u_batch(params, X)) / X[:, 2]).reshape(x3.shape)
+        for row, ratio, line in zip(x2, ratios, x3):
+            m = float(ratio.max())
+            ties = np.flatnonzero(ratio >= m - 1e-12 * abs(m))
+            j = int(ties[-1])
+            if m > best + 1e-12 * abs(m):
+                best, arg = m, (0.0, float(row), float(line[j]))
+            elif m >= best - 1e-12 * abs(best):
+                best = max(best, m)
+                arg = (0.0, float(row), float(line[j]))
+    return best ** (1.0 / params.r), arg
 
 
 def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6) -> dict:

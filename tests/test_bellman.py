@@ -187,6 +187,19 @@ def test_scalar_hessian_refuses_boundary_points():
         hessian(PA, (0.3, x2, hi - 1e-9))
 
 
+
+@pytest.mark.parametrize("x", [(0.5, 0.25, 0.5), (1.5, 2.25, 1.5)])
+def test_leaf_hessian_refuses_skeleton_points(x):
+    # no leaf crosses the skeleton transversally, on either side of eps;
+    # both calls refuse the point the same way
+    with pytest.raises(BoundaryError, match="domain boundary"):
+        gradient_batch(PA, [x])
+    with pytest.raises(BoundaryError, match="domain boundary"):
+        hessian_leaf_batch(PA, [x])
+    inner = interior_points(PA, 4, seed=41)
+    with pytest.raises(BoundaryError, match=r"point \(%s, %s, %s\)" % x):
+        hessian_leaf_batch(PA, np.concatenate([inner[:2], [x], inner[2:]]))
+
 # ------------------------------------------------------------------- scaling
 
 

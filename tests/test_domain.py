@@ -22,6 +22,7 @@ from bmobell import (
     omega3_contains,
     tangent_params,
     transition_level,
+    value,
 )
 
 from _frozen import ENV_D
@@ -127,6 +128,18 @@ def test_skeleton_pinches_the_envelopes():
             assert a_m(p, 1.0, t, t * t) == pytest.approx(want, rel=1e-10, abs=1e-12)
             assert a_k(p, 1.0, t, t * t) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_points_a_rounding_error_below_the_parabola_sit_on_it():
+    # x2 within MEMBERSHIP_TOL below x1^2 is lifted onto the parabola before
+    # any power of x2 is taken, so (0, -1e-13, 0) is the skeleton point 0
+    pa = Params(1.0, 3.0)
+    x = (0.0, -1e-13, 0.0)
+    assert classify(pa, x) is Region.SKELETON
+    assert value(pa, x) == 0.0
+    assert bellman2d(pa, 0.0, -1e-13, "upper") == 0.0
+    assert bellman2d(pa, 0.0, -1e-13, "lower") == 0.0
 
 def test_transition_level_formula():
     pa = Params(1.0, 3.0)

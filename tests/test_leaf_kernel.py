@@ -2,9 +2,9 @@
 
 solve_leaf, value and gradient are one-row calls of the batch functions,
 so every comparison here is exact.  The edge cases pin the paths a point
-can take through the kernel: bisection, endpoint clamps, the second leaf
-family, the skeleton, and chord parameters far past the 45 eps window of
-k_fn's quadrature.
+can take through the kernel: Newton steps and their bisection fallback,
+endpoint clamps, the second leaf family, the skeleton, and chord
+parameters far past the 45 eps window of k_fn's quadrature.
 """
 
 import re
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bmobell.bellman as bellman
+import bmobell.domain as domain
 from bmobell import (
     DomainError,
     Params,
@@ -28,7 +29,7 @@ from bmobell import (
     value,
     value_batch,
 )
-from bmobell.bellman import _plane, solve_u_batch
+from bmobell.bellman import _brackets, _plane, central_u_batch, solve_u_batch
 
 
 def point(params, s1, f2, f3):
@@ -41,12 +42,31 @@ def point(params, s1, f2, f3):
     return (x1, x2, lo + f3 * (hi - lo))
 
 
+def p_residuals(params, pts):
+    """|p-plane at each solved leaf - x3|, relative to max(1, |x3|)."""
+    X = np.asarray(pts, dtype=float)
+    u, central, skel = solve_u_batch(params, X)
+    assert not np.any(skel)
+    got = _plane(params.p, params.eps, u, np.abs(X[:, 0]), X[:, 1], central)
+    return np.abs(got - X[:, 2]) / np.maximum(1.0, np.abs(X[:, 2]))
+
+
 def p_residual(params, x):
-    """|p-plane at the solved leaf - x3|, relative to max(1, |x3|)."""
-    u, central, skel = solve_u_batch(params, [x])
-    assert not skel[0]
-    got = _plane(params.p, params.eps, u, np.abs([x[0]]), np.array([x[1]]), central)[0]
-    return abs(got - x[2]) / max(1.0, abs(x[2]))
+    return p_residuals(params, [x])[0]
+
+
+def slice_rows(params, x2, fractions):
+    """Points (0, x2, x3) of the centred slice at the given envelope fractions."""
+    lo = bellman2d(params, 0.0, x2, "lower")
+    hi = bellman2d(params, 0.0, x2, "upper")
+    return [(0.0, x2, lo + t * (hi - lo)) for t in fractions]
+
+
+def interior(params, n, seed):
+    """n points like the benchmark's: |x1| <= 2.5 eps, fractions in [0.05, 0.95]."""
+    rng = np.random.default_rng(seed)
+    draws = zip(rng.uniform(-2.5, 2.5, n), rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n))
+    return [point(params, *d) for d in draws]
 
 
 # --------------------------------------------------------------- properties
@@ -195,6 +215,92 @@ def test_chord_parameters_past_the_k_window(pair, eps):
     g = gradient_batch(pa, pts, margin=0.0)
     assert np.array_equal(g[4], gradient(pa, pts[4], margin=0.0))
 
+
+
+# --------------------------------------------------------------- the solver
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_central_rows_near_the_axis_leaf(p):
+    # for 1 < p < 2 the plane's u-slope vanishes like u^(p-1) at u = 0, so
+    # Newton iterates there are not finite or leave the bracket and the
+    # rows must bisect down to the axis
+    pa = Params(p, 3.0)
+    fractions = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1)
+    for x2 in (0.05, 0.5, 1.0):
+        rows = slice_rows(pa, x2, fractions)
+        u, central, _ = solve_u_batch(pa, rows)
+        assert np.all(central)
+        # rows within the residual target of the axis level may stop at u = 0
+        assert np.all(np.diff(u) >= 0.0) and 0.0 <= u[0] < u[-1] < min(np.sqrt(x2), 1.0)
+        assert p_residuals(pa, rows).max() <= 1e-12
+        assert np.array_equal(value_batch(pa, rows), [value(pa, x) for x in rows])
+
+
+@pytest.mark.parametrize("p", [1.999, 2.001])
+@pytest.mark.parametrize("eps", [0.3, 3.0])
+def test_solver_near_p_two(p, eps):
+    # the plane equation is worst conditioned next to p = 2
+    pa = Params(p, 10.0, eps)
+    rows = interior(pa, 60, seed=17)
+    rows += slice_rows(pa, 0.4 * eps * eps, (0.0, 1e-9, 0.3, 0.9, 1.0))
+    assert p_residuals(pa, rows).max() <= 1e-12
+    assert np.array_equal(value_batch(pa, rows), [value(pa, x) for x in rows])
+
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (1.5, 3.0), (2.5, 4.0), (4.0, 3.0), (1.999, 10.0)])
+@pytest.mark.parametrize("eps", [1.0, 0.3, 3.0])
+def test_centred_slice_envelopes_land_on_the_bracket_ends(pair, eps):
+    # at x1 = 0 the a_m envelope is the leaf u = 0 and the a_k envelope the
+    # leaf u = sqrt(x2), both bracket ends: each row clamps there or solves
+    # to within rounding of it
+    pa = Params(*pair, eps)
+    x2 = eps * eps * np.linspace(0.01, 1.0, 25)
+    m_side = "lower" if pa.p < 2 else "upper"
+    rows, ends = [], []
+    for v in x2:
+        for side in ("lower", "upper"):
+            rows.append((0.0, v, bellman2d(pa, 0.0, v, side)))
+            ends.append(0.0 if side == m_side else min(np.sqrt(v), eps))
+    u, central, _ = solve_u_batch(pa, rows)
+    assert np.all(central)
+    lo, hi = _brackets(eps, np.zeros(len(rows)), x2.repeat(2), central)
+    assert np.all((lo <= u) & (u <= hi))
+    assert np.max(np.abs(u - ends)) <= 1e-12 * eps
+    assert p_residuals(pa, rows).max() <= 1e-10
+
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0)])
+def test_dense_centred_slice_block_meets_the_residual_target(pair):
+    # extract_constant's rows: a dense (0, x2, x3) block, envelopes included
+    pa = Params(*pair)
+    x2 = np.linspace(0.0, 1.0, 81)[1:]
+    lo, hi = domain.envelope_batch(pa, np.zeros_like(x2), x2)
+    x3 = np.linspace(lo, hi, 80, axis=1)
+    X = np.column_stack([np.zeros(x3.size), x2.repeat(80), x3.ravel()])
+    assert p_residuals(pa, X).max() <= 1e-12
+    u = solve_u_batch(pa, X)[0].reshape(x3.shape)
+    assert np.array_equal(central_u_batch(pa, x2[7], x3[7]), u[7])
+
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0)])
+def test_value_batch_costs_few_m_fn_calls(pair, monkeypatch):
+    # a count, not a timing: each solver step evaluates m once for the
+    # whole batch, so the calls of one value_batch bound the steps of its
+    # slowest row; halving brackets took 57-59 calls here
+    pa = Params(*pair)
+    rows = interior(pa, 250, seed=23)
+    calls = []
+    real = bellman.m_fn
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bellman, "m_fn", counted)
+    monkeypatch.setattr(domain, "m_fn", counted)
+    value_batch(pa, rows)
+    assert len(calls) <= 16
 
 OUTSIDE_TEXT = [
     ((1.0, 3.0, 1.0), (0.0, 1.2, 0.5), "x2 = 1.2 outside [x1^2, x1^2 + eps^2] = [0.0, 1.0]"),
