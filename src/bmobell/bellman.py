@@ -8,9 +8,9 @@ p-coordinate runs every point to its noise floor under one contract, with
 the same brackets, endpoint clamps and residual target for all of them.
 The function value is the same plane in the r-coordinate at the solved u;
 the gradient and the leafwise Hessian come from closed expressions in the
-transforms m and k there.  solve_leaf, value and gradient are one-row calls of
-solve_u_batch, value_batch and gradient_batch, so the scalar and batch
-answers are the same bits.
+transforms m and k there.  solve_leaf, value, gradient and hessian are
+one-row calls of solve_u_batch, value_batch, gradient_batch and
+hessian_batch, so the scalar and batch answers are the same bits.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ _RESIDUAL_REL = 1e-12
 _CLAMP_REL = 1e-10
 # a step within this many ulps of u ends a row's solve
 _STEP_ULPS = 4.0
+# rounds of fivefold step shrinking hessian_batch tries near the boundary
+_FD_SHRINKS = 6
 
 
 @dataclass(frozen=True)
@@ -292,16 +294,8 @@ def gradient(params: Params, x, margin: float = 1e-6) -> np.ndarray:
 
 
 def hessian(params: Params, x, step: float = 1e-4) -> np.ndarray:
-    """Symmetrized central-difference Hessian of value, from the analytic gradient."""
-    x = np.asarray(x, dtype=float)
-    h = np.zeros((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        gp = gradient(params, x + e)
-        gm = gradient(params, x - e)
-        h[i] = (gp - gm) / (2.0 * step)
-    return 0.5 * (h + h.T)
+    """Symmetrized central-difference Hessian of value; hessian_batch of one row."""
+    return hessian_batch(params, _one_row(x), step)[0]
 
 
 def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
@@ -309,7 +303,8 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
 
     Per-point steps start at step * max(1, |coord|) and shrink until every
     displaced point keeps a fifth of its boundary slack, so the batched
-    gradient call below never trips its interiority guard.
+    gradient call below never trips its interiority guard.  A point still
+    unsafe after _FD_SHRINKS rounds raises BoundaryError.
     """
     X = np.asarray(pts, dtype=float)
     n = len(X)
@@ -324,7 +319,7 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
     h3 = np.minimum(step * np.maximum(1.0, np.abs(x3)), 0.25 * slack3)
     # lateral displacements move the envelope as well; shrink until safe
     z = np.zeros(n)
-    for _ in range(6):
+    for _ in range(_FD_SHRINKS):
         ok = np.ones(n, dtype=bool)
         for dx1, dx2 in ((h1, z), (-h1, z), (z, h2), (z, -h2)):
             a1d = np.abs(x1 + dx1)
@@ -336,6 +331,7 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
             break
         h1 = np.where(ok, h1, 0.2 * h1)
         h2 = np.where(ok, h2, 0.2 * h2)
+    _refuse_boundary(X, ~ok, step * 0.2 ** (_FD_SHRINKS - 1))
     disp = np.empty((6, n, 3))
     for j, hh in enumerate((h1, h2, h3)):
         for s, sgn in enumerate((1.0, -1.0)):

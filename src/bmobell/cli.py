@@ -9,14 +9,13 @@ failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import testfn, verify
 from .bellman import leaf_regions, leaf_value, solve_u_batch, value
-from .domain import Params, bellman2d, classify
+from .domain import Params, classify, envelope_batch
 from .errors import BmoBellError
 
 
@@ -70,31 +69,30 @@ def _cmd_scan(args) -> int:
         return 2
     x1 = args.x1
     eps = params.eps
-    rows = ["x1,x2,x3,region,u,B"]
-    # every in-strip row of the slice is solved in one batch; slots keeps
-    # the row each point fills
-    pts, slots = [], []
-    for x2 in np.linspace(x2lo, x2hi, n2):
-        x2 = float(x2)
-        if x2 < x1 * x1 or x2 > x1 * x1 + eps * eps:
-            rows.append(f"{_fmt(x1)},{_fmt(x2)},,Outside,,")
-            continue
-        lo = bellman2d(params, x1, x2, "lower")
-        hi = bellman2d(params, x1, x2, "upper")
-        for x3 in np.linspace(lo, hi, n3):
-            slots.append(len(rows))
-            rows.append("")
-            pts.append((x1, x2, float(x3)))
-    if pts:
-        X = np.array(pts)
+    x2s = np.linspace(x2lo, x2hi, n2)
+    inside = (x2s >= x1 * x1) & (x2s <= x1 * x1 + eps * eps)
+    # the in-strip rows take their envelopes from one call and their leaves
+    # from one batch solve, n3 points per row in row order; each row gets its
+    # own linspace, because one linspace over endpoint arrays differs in the
+    # last bits and would change the printed x3
+    lo, hi = envelope_batch(params, abs(x1), x2s[inside])
+    x3 = np.array([np.linspace(a, b, n3) for a, b in zip(lo, hi)]).reshape(-1)
+    X = np.column_stack([np.full(x3.size, x1), np.repeat(x2s[inside], n3), x3])
+    if len(X):
         u, central, skel = solve_u_batch(params, X)
         got = leaf_value(params, X, u, central, skel)
         regions = leaf_regions(X[:, 0], central, skel)
-        for k, slot in enumerate(slots):
-            x1k, x2k, x3k = pts[k]
-            rows[slot] = (
-                f"{_fmt(x1k)},{_fmt(x2k)},{_fmt(x3k)},{regions[k].value},{_fmt(u[k])},{_fmt(got[k])}"
+    rows = ["x1,x2,x3,region,u,B"]
+    k = 0
+    for x2, ok in zip(x2s, inside):
+        if not ok:
+            rows.append(f"{_fmt(x1)},{_fmt(x2)},,Outside,,")
+            continue
+        for j in range(k, k + n3):
+            rows.append(
+                f"{_fmt(X[j, 0])},{_fmt(X[j, 1])},{_fmt(X[j, 2])},{regions[j].value},{_fmt(u[j])},{_fmt(got[j])}"
             )
+        k += n3
     out = "\n".join(rows)
     if args.format == "json":
         import json
@@ -114,9 +112,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         samples=args.samples,
         cells=args.cells,
-        delta=args.delta,
-        lam=args.lam,
-        depth=args.depth,
         levels=args.levels,
     )
     for rep in reports:
@@ -132,11 +127,8 @@ def _cmd_optimizer(args) -> int:
         f = testfn.optimizer_uplus(args.eps, args.u)
     elif args.which == "u-":
         f = testfn.optimizer_uminus(args.eps, args.u)
-    elif args.which == "phi0":
-        f = testfn.optimizer_phi0()
     else:
-        depth = args.depth if args.depth is not None else math.ceil(math.log(1e-6) / math.log(args.lam))
-        f = testfn.build_psi(args.delta, args.lam, depth)
+        f = testfn.optimizer_phi0()
     sys.stdout.write(testfn.to_csv(f))
     return 0
 
@@ -182,9 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--cells", type=int, default=64)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.999)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--levels", type=int, default=6)
     sp.set_defaults(handler=_cmd_verify)
 
@@ -194,12 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_constant)
 
     sp = sub.add_parser("optimizer", help="emit an extremal test function as piece CSV")
-    sp.add_argument("--which", choices=("u+", "u-", "phi0", "psi"), default="phi0")
+    sp.add_argument("--which", choices=("u+", "u-", "phi0"), default="phi0")
     sp.add_argument("--u", type=float, default=None)
     sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.999)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--depth", type=int, default=None)
     sp.set_defaults(handler=_cmd_optimizer)
 
     sp = sub.add_parser("bmo", help="grid oscillation seminorm of a piece-CSV function")

@@ -543,36 +543,6 @@ def transfer(f: PiecewiseFn, J) -> PiecewiseFn:
     return PiecewiseFn(out)
 
 
-def homogenize(f: PiecewiseFn, lam: float, depth: int) -> PiecewiseFn:
-    """Geometric rearrangement tiling shrunk copies outward from the center.
-
-    Copies of f go on [±(1-lam^(k-1))/2, ±(1-lam^k)/2] for k = 1..depth;
-    the two leftover edge gaps (total mass lam^depth) are filled with the
-    constant mean of f, so the output distribution matches f's up to that
-    residual mass.
-    """
-    if not (f.a == -0.5 and f.b == 0.5):
-        raise DomainError(f"homogenization expects the domain [-0.5, 0.5], got [{f.a}, {f.b}]")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"shrink factor must lie in (0, 1), got {lam}")
-    if not (isinstance(depth, int) and depth >= 1):
-        raise DomainError(f"depth must be a positive integer, got {depth}")
-    residual = lam ** depth
-    if residual > 1e-6:
-        raise DomainError(
-            f"depth {depth} leaves residual mass {residual:.3e} > 1e-6; increase depth"
-        )
-    edges = (1.0 - lam ** np.arange(depth + 1)) / 2.0
-    fill = mean(f)
-    pieces = [ConstPiece(-0.5, -edges[depth], fill)]
-    for k in range(depth, 0, -1):
-        pieces.extend(transfer(f, (-edges[k], -edges[k - 1])).pieces)
-    for k in range(1, depth + 1):
-        pieces.extend(transfer(f, (edges[k - 1], edges[k])).pieces)
-    pieces.append(ConstPiece(edges[depth], 0.5, fill))
-    return PiecewiseFn(pieces)
-
-
 def optimizer_uplus(eps: float, u: float) -> PiecewiseFn:
     """Logarithmic extremal u - eps*ln t on (0, 1]; mean u + eps."""
     if not eps > 0:
@@ -604,33 +574,6 @@ def optimizer_phi0() -> PiecewiseFn:
             LogPiece(1.0, 2.0, 0.0, -1.0, -1.0, 2.0),
         ]
     )
-
-
-def build_psi(delta: float, lam: float, depth: int, ambient=(-4.0, 5.0)) -> PiecewiseFn:
-    """Seam-glued rearrangement of phi0 squeezed into (0, 1), zero on the rest of ambient.
-
-    Shrunken copies of phi0 laid side by side put the -infinity log tail of
-    one copy against the +infinity tail of the next, so the function looks
-    like sign(t)*ln|t| at every seam and is not in BMO: its true seminorm
-    is infinite for every lam and depth, and grid readings grow with
-    refinement.  It keeps the support and the moments of phi0 and is kept
-    as the counterexample that build_ladder avoids.  delta only advertises
-    the oscillation slack a near-extremizer would need.
-    """
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    j1, j2 = (float(v) for v in ambient)
-    if not (j1 <= 0.0 and j2 >= 1.0):
-        raise DomainError(f"ambient interval [{j1}, {j2}] must contain [0, 1]")
-    base = transfer(optimizer_phi0(), (-0.5, 0.5))
-    core = transfer(homogenize(base, lam, depth), (0.0, 1.0))
-    pieces = []
-    if j1 < 0.0:
-        pieces.append(ConstPiece(j1, 0.0, 0.0))
-    pieces.extend(core.pieces)
-    if j2 > 1.0:
-        pieces.append(ConstPiece(1.0, j2, 0.0))
-    return PiecewiseFn(pieces)
 
 
 def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:

@@ -351,7 +351,10 @@ def extract_constant(params: Params, grid_density: int):
 
 
 def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6) -> dict:
-    """Measured line-inequality quantities for a compactly supported model."""
+    """Measured line-inequality quantities for a compactly supported model.
+
+    delta is not used; it stays so that positional callers keep working.
+    """
     length = psi.length
     int_p = testfn.moments(psi, p) * length
     int_r = testfn.moments(psi, r) * length
@@ -374,40 +377,35 @@ def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6)
     }
 
 
-def transference_demo(
-    p: float, r: float, delta: float, lam: float, depth: int | None, levels: int = 6
-) -> VerifyReport:
-    """The seam-glued rearrangement build_psi on the line, measured end to end.
+# criterion 11's exponential ladder (n, h, depth), the line model the
+# transference suite measures
+_LADDER = (4, 0.1, 5)
 
-    The function measured is not in BMO: opposite log tails meet at every
-    copy seam, windows across two adjacent copies already read about
-    sqrt(2), and the report fails; build_ladder is the near-extremizer
-    that passes these checks.  Four violation-style residuals share one
-    report: stray support mass, relative moment mismatch beyond 2%,
-    oscillation norm above 1 + delta, and ratio shortfall below 95% of the
-    sharp constant.  The grid oscillation norm is a lower bound that only
-    grows under refinement, so a failure at any level count is conclusive.
-    depth = None picks the smallest depth whose residual mass clears the
-    builder's 1e-6 cap.
+
+def check_transference(params: Params, levels: int = 6) -> VerifyReport:
+    """The interval constant carried to the line on the exponential ladder.
+
+    build_ladder(*_LADDER) has the law Exp(1) on measure 1/2, so its
+    moment integrals are Gamma(q+1)/2 exactly.  Criterion 11's four bars
+    share one violation-style report: stray support mass, relative moment
+    mismatch beyond 2%, oscillation norm above 1.05, and ratio shortfall
+    below 95% of the sharp constant.  Both sides of the line inequality are
+    homogeneous of degree one in the function, so the check is the same at
+    every oscillation scale and reports eps = 1.
     """
-    if depth is None:
-        depth = math.ceil(math.log(1e-6) / math.log(lam))
-    psi = testfn.build_psi(delta, lam, depth)
-    met = transference_metrics(psi, p, r, delta, levels)
+    p, r = params.p, params.r
+    met = transference_metrics(testfn.build_ladder(*_LADDER), p, r, 0.0, levels)
     target_p = gamma_fn(p + 1.0) / 2.0
     target_r = gamma_fn(r + 1.0) / 2.0
     viol = {
         "support": met["support_stray"],
         "moment_p": abs(met["integral_p"] - target_p) / target_p - 0.02,
         "moment_r": abs(met["integral_r"] - target_r) / target_r - 0.02,
-        "bmo": met["bmo"] - (1.0 + delta),
+        "bmo": met["bmo"] - 1.05,
         "ratio": 0.95 * sharp_constant(p, r) - met["ratio"],
     }
     worst_key = max(viol, key=lambda k: viol[k])
-    witness = dict(met)
-    witness["worst_check"] = worst_key
-    witness["lambda"] = lam
-    witness["depth"] = depth
+    witness = dict(met, worst_check=worst_key, ladder=list(_LADDER))
     report_params = {"p": p, "r": r, "eps": 1.0}
     return _report("transference", report_params, len(viol), viol[worst_key], witness)
 
@@ -419,16 +417,13 @@ def run_suite(
     seed: int = 7,
     samples: int = 1000,
     cells: int = 64,
-    delta: float = 0.05,
-    lam: float = 0.999,
-    depth: int | None = None,
     levels: int = 6,
 ) -> list:
     """Run one named suite, or the full evaluator battery for "all".
 
-    "all" covers the six evaluator suites; the transference demo builds a
-    large piecewise model with its own parameter set and runs only when
-    named explicitly.  Degenerate exponent pairs skip the two suites that
+    "all" covers the six evaluator suites; the transference check measures
+    the line model, not the evaluator, and runs only when named explicitly.
+    Degenerate exponent pairs skip the two suites that
     need curvature.
     """
     eps = params.eps
@@ -439,14 +434,7 @@ def run_suite(
         "c1": lambda: check_c1_glue(params, min(samples, 100)),
         "oracle": lambda: check_inequality_oracle(params, samples, cells, seed),
         "attainment": lambda: check_attainment(params, (eps, 1.5 * eps, 3.0 * eps)),
-        "transference": lambda: transference_demo(
-            params.p,
-            params.r,
-            delta,
-            lam,
-            depth,
-            levels=levels,
-        ),
+        "transference": lambda: check_transference(params, levels),
     }
     if name == "all":
         names = ["identities", "skeleton", "concavity", "c1", "oracle", "attainment"]

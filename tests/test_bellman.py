@@ -177,7 +177,7 @@ def test_scalar_hessian_agrees_with_batch():
     x = (0.3, 0.8, 0.7)
     hs = hessian(PA, x)
     hb = hessian_batch(PA, np.array([x]))[0]
-    np.testing.assert_allclose(hs, hb, rtol=1e-8, atol=1e-10)
+    np.testing.assert_array_equal(hs, hb)
 
 
 def test_scalar_hessian_refuses_boundary_points():
@@ -186,6 +186,16 @@ def test_scalar_hessian_refuses_boundary_points():
     with pytest.raises(BoundaryError):
         hessian(PA, (0.3, x2, hi - 1e-9))
 
+
+
+def test_differenced_hessian_refuses_points_it_cannot_step_around():
+    # a sideways step of any tried size moves the upper envelope past the
+    # point; the caller's row is refused, not a displaced copy of it
+    x2 = 0.8
+    hi = bellman2d(PA, 0.3, x2, "upper")
+    inner = (0.3, x2, 0.7)
+    with pytest.raises(BoundaryError, match=r"point \(0\.3, 0\.8, "):
+        hessian_batch(PA, [inner, (0.3, x2, hi - 1e-9)])
 
 
 @pytest.mark.parametrize("x", [(0.5, 0.25, 0.5), (1.5, 2.25, 1.5)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bmobell.bellman
-from bmobell import Params, cli, from_csv, moments, solve_u_batch, value_batch
+from bmobell import Params, VerifyReport, cli, from_csv, moments, solve_u_batch, value_batch
 
 
 def run(argv, capsys):
@@ -137,7 +137,7 @@ def test_scan_json_format(capsys):
 
 
 def test_scan_solves_every_row_in_one_batch(capsys, monkeypatch):
-    calls = {"solve_u_batch": 0, "solve_leaf": 0}
+    calls = {"envelope_batch": 0, "solve_u_batch": 0, "solve_leaf": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -146,6 +146,7 @@ def test_scan_solves_every_row_in_one_batch(capsys, monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(cli, "envelope_batch", counted("envelope_batch", cli.envelope_batch))
     monkeypatch.setattr(cli, "solve_u_batch", counted("solve_u_batch", cli.solve_u_batch))
     monkeypatch.setattr(bmobell.bellman, "solve_leaf", counted("solve_leaf", bmobell.bellman.solve_leaf))
     # x1 = 0.7 from the skeleton row x2 = 0.49 up past the strip top: skeleton,
@@ -154,7 +155,7 @@ def test_scan_solves_every_row_in_one_batch(capsys, monkeypatch):
         ["scan", "--p", "1", "--r", "3", "--x1", "0.7", "--grid", "0.49:1.6:12,9"], capsys
     )
     assert code == 0
-    assert calls == {"solve_u_batch": 1, "solve_leaf": 0}
+    assert calls == {"envelope_batch": 1, "solve_u_batch": 1, "solve_leaf": 0}
     rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
     assert {r[3] for r in rows} == {"Skeleton", "XiZero", "XiPlus", "Outside"}
     live = [r for r in rows if r[3] != "Outside"]
@@ -187,18 +188,27 @@ def test_verify_all_exits_zero(capsys):
     ] * 6
 
 
-def test_verify_failing_suite_exits_one(capsys):
-    # the rearrangement demo fails by construction: copy seams pin the
-    # oscillation norm at sqrt(2) or above
-    code, out, _ = run(
-        ["verify", "--suite", "transference", "--p", "1", "--r", "3",
-         "--lambda", "0.9", "--depth", "132", "--levels", "2"],
-        capsys,
-    )
+def test_verify_transference_exits_zero(capsys):
+    code, out, _ = run(["verify", "--suite", "transference", "--p", "1", "--r", "3"], capsys)
+    assert code == 0
+    (line,) = out.strip().splitlines()
+    rep = json.loads(line)
+    assert list(rep) == ["suite", "params", "cases", "worst_residual", "witness", "passed"]
+    assert rep["suite"] == "transference" and rep["passed"]
+    assert rep["witness"]["ladder"] == [4, 0.1, 5]
+
+
+def test_verify_failing_suite_exits_one(capsys, monkeypatch):
+    failing = VerifyReport("skeleton", {"p": 1.0, "r": 3.0, "eps": 1.0}, 1, 1e-3, None, False)
+    monkeypatch.setattr(cli.verify, "run_suite", lambda *args, **kwargs: [failing])
+    code, out, _ = run(["verify", "--suite", "skeleton", "--p", "1", "--r", "3"], capsys)
     assert code == 1
-    rep = json.loads(out.strip().splitlines()[-1])
-    assert rep["suite"] == "transference"
-    assert not rep["passed"]
+    assert out.strip() == failing.to_json()
+
+
+def test_removed_seam_options_are_usage_errors(capsys):
+    assert run(["optimizer", "--which", "psi"], capsys)[0] == 2
+    assert run(["verify", "--suite", "transference", "--p", "1", "--r", "3", "--lambda", "0.9"], capsys)[0] == 2
 
 
 def test_verify_unknown_suite_exits_two(capsys):

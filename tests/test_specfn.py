@@ -1,10 +1,15 @@
 """Unit tests for the moment transforms and their quadrature cross-routes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmobell
 from bmobell import (
     DomainError,
     QuadratureSpec,
@@ -179,3 +184,15 @@ def test_reference_comparison_has_teeth():
     assert fails > 0.9 * sum(
         1 for (kind, p, eps, u, order) in MK_TABLE if order == 0 and u > 0.0
     )
+
+
+def test_import_leaves_adaptive_quadrature_unloaded():
+    # scipy.integrate costs about 26 MB and 0.4 s per process; only quad_k
+    # needs it, so importing the package and its CLI must not load it
+    src = str(Path(bmobell.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bmobell, bmobell.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "False"

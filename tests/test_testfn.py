@@ -14,12 +14,10 @@ from bmobell import (
     PiecewiseFn,
     bmo_norm,
     build_ladder,
-    build_psi,
     distribution,
     evaluate,
     from_csv,
     gamma_fn,
-    homogenize,
     k_fn,
     m_fn,
     mean,
@@ -247,33 +245,26 @@ def test_transfer_preserves_moments_and_oscillation():
     assert bmo_norm(g, 5) == pytest.approx(bmo_norm(f, 5), rel=1e-10)
 
 
-def test_homogenize_preserves_the_distribution_profile():
-    f = transfer(optimizer_phi0(), (-0.5, 0.5))
-    lam, depth = 0.9, 132
-    h = homogenize(f, lam, depth)
-    assert h.domain == (-0.5, 0.5)
-    for c in (0.3, 1.0, 1.8):
-        # the unfilled residue at the edges is lam^depth of the mass
-        assert distribution(h, c) == pytest.approx(
-            distribution(f, c), rel=2e-5, abs=1e-6
-        )
-
-
-def test_homogenize_guards():
-    f = transfer(optimizer_phi0(), (-0.5, 0.5))
-    with pytest.raises(DomainError):
-        homogenize(f, 1.0, 50)
-    with pytest.raises(DomainError):
-        homogenize(f, 0.9, 2)  # residue above the documented cap
-
-
-def test_build_psi_support_and_domain():
-    psi = build_psi(0.05, 0.9, 132)
-    assert psi.domain == (-4.0, 5.0)
-    t = np.array([-3.5, -1.2, 1.7, 4.4])
-    np.testing.assert_allclose(evaluate(psi, t), 0.0, atol=1e-15)
-    inside = evaluate(psi, np.array([0.31, 0.42, 0.55]))
-    assert np.any(inside != 0.0)
+def test_seam_glued_copies_are_not_in_bmo():
+    # two copies of phi0 side by side put its +infinity tail against the
+    # -infinity tail of the next copy at t = 2, where the function looks
+    # like sign(t - 2) ln|t - 2|; the grid reading is a lower bound of the
+    # seminorm and keeps growing under refinement, so the failure is
+    # conclusive at any level count
+    seam = PiecewiseFn(
+        [
+            LogPiece(-2.0, -1.0, 0.0, 1.0, 1.0, -2.0),
+            ConstPiece(-1.0, 1.0, 0.0),
+            LogPiece(1.0, 2.0, 0.0, -1.0, -1.0, 2.0),
+            LogPiece(2.0, 3.0, 0.0, 1.0, 1.0, 2.0),
+            ConstPiece(3.0, 5.0, 0.0),
+            LogPiece(5.0, 6.0, 0.0, -1.0, -1.0, 6.0),
+        ]
+    )
+    readings = [bmo_norm(seam, levels) for levels in (4, 8, 12)]
+    assert readings[0] < readings[1] < readings[2]
+    assert readings[0] > 1.05
+    assert bmo_norm(optimizer_phi0(), 12) <= 1.0 + 1e-9
 
 
 # --------------------------------------------------------- exponential ladder

@@ -12,19 +12,18 @@ from bmobell import (
     Params,
     VerifyReport,
     build_ladder,
-    build_psi,
     check_attainment,
     check_c1_glue,
     check_concavity,
     check_identities,
     check_inequality_oracle,
     check_skeleton,
+    check_transference,
     edge_ratio,
     extract_constant,
     gamma_fn,
     run_suite,
     sharp_constant,
-    transference_demo,
     transference_metrics,
 )
 
@@ -227,21 +226,20 @@ def test_ladder_meets_the_ratio_bar_for_every_pair():
         assert w["ratio"] >= 0.95 * sharp_constant(p, r)
 
 
-def test_transference_demo_reports_the_seam_obstruction():
-    # the rearranged profile keeps its support and moments, but gluing
-    # shrunken copies side by side leaves opposite-sign logarithmic tails
-    # meeting at every copy boundary, so windows across a boundary carry
-    # mean-zero mass of second moment 2: the grid oscillation norm is
-    # pinned at sqrt(2) or above no matter how fine the partition
-    rep = transference_demo(1.0, 3.0, delta=0.05, lam=0.9, depth=132, levels=2)
+@pytest.mark.parametrize("p, r", [(1.0, 3.0), (1.0, 2.5), (2.5, 4.0), (1.5, 3.0)])
+def test_transference_check_passes_on_the_ladder(p, r):
+    rep = check_transference(Params(p, r))
+    assert rep.suite == "transference"
+    assert rep.passed and rep.worst_residual <= 0.0
+    assert rep.cases == 5
     w = rep.witness
-    assert w["support_stray"] == 0.0
-    assert w["integral_p"] == pytest.approx(0.5, rel=0.02)
-    assert w["integral_r"] == pytest.approx(3.0, rel=0.02)
-    assert w["bmo"] >= 2.0 ** 0.5 - 1e-6
-    assert w["ratio"] < 0.95 * sharp_constant(1.0, 3.0)
-    assert not rep.passed
-    assert w["worst_check"] in ("bmo", "ratio")
+    assert list(w) == [
+        "support_stray", "integral_p", "integral_r", "bmo", "ratio", "worst_check", "ladder",
+    ]
+    assert w["ladder"] == [4, 0.1, 5]
+    assert w["bmo"] <= 1.05
+    assert w["ratio"] >= 0.95 * sharp_constant(p, r)
+    assert run_suite("transference", Params(p, r))[0] == rep
 
 
 # ---------------------------------------------------------------- run_suite
