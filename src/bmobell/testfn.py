@@ -6,7 +6,7 @@ exponential ladder (see LadderPiece).  Means and second moments reduce to
 closed antiderivatives; absolute q-th moments reduce, after the
 substitution z = -ln w, to exponential-weight integrals of |affine|^q
 which are evaluated by incomplete-gamma differences on the side where the
-weight decays and by panel quadrature on the other side.  A ladder piece
+weight decays and by specfn.rise_integral on the other side.  A ladder piece
 has the law beta + Exp(1), so its whole-piece integrals are closed forms
 too, and its partial integrals recurse through its cells.
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, roots_jacobi
+from scipy.special import gammainc, gammaincc
 
 from .errors import DomainError
-from .specfn import _legendre, gamma_fn
+from .specfn import gamma_fn, rise_integral
 
 # candidate-set refinement used when a generated step function is rescaled
 # to unit grid seminorm; one level beyond 8 resolves window endpoints well
@@ -339,13 +338,7 @@ def second_moment(f: PiecewiseFn) -> float:
     return float(np.sum(i2) / f.length)
 
 
-@lru_cache(maxsize=64)
-def _jacobi_right(n: int, alpha: float):
-    # weight (1-x)^alpha on [-1, 1]; algebraic factor at the right end
-    return roots_jacobi(n, alpha, 0.0)
-
-
-def _abs_affine_exp(q: float, z1, z2, B, C, n: int = 64) -> np.ndarray:
+def _abs_affine_exp(q: float, z1, z2, B, C) -> np.ndarray:
     """integral_{z1}^{z2} exp(-z) |C - B z|^q dz, elementwise; z2 may be inf."""
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
     z2 = np.atleast_1d(np.asarray(z2, dtype=float))
@@ -370,43 +363,13 @@ def _abs_affine_exp(q: float, z1, z2, B, C, n: int = 64) -> np.ndarray:
     tail_small = y1 < q + 1.0
     delta = np.where(tail_small, p2 - gammainc(q + 1.0, y1), gammaincc(q + 1.0, y1) - q2)
     acc = absB ** q * np.exp(-zs) * gq * np.maximum(delta, 0.0)
-    # growing side, z <= zs: finite range, panel quadrature
+    # growing side, z <= zs: |C - Bz| = |B| (zs - z), and y = zs - z turns
+    # it into a rising integral from zs - beta over the span beta - z1
     beta = np.minimum(a2, zs)
-    has_left = a1 < beta
-    if np.any(has_left):
-        ii = np.flatnonzero(has_left)
-        al, bl, zl, ab = a1[ii], beta[ii], zs[ii], absB[ii]
-        npan = np.maximum(1, np.ceil((bl - al) / 3.0).astype(int))
-        xg, wg = _legendre(n)
-        xj, wj = _jacobi_right(n, float(q))
-        res = np.zeros(ii.size)
-        for nv in np.unique(npan):
-            sel = np.flatnonzero(npan == nv)
-            A, Bt, Z, AB = al[sel], bl[sel], zl[sel], ab[sel]
-            h = (Bt - A) / nv
-            part = np.zeros(sel.size)
-            if nv > 1:
-                j = np.arange(nv - 1)
-                lo_e = A[:, None] + h[:, None] * j[None, :]
-                mid = lo_e + 0.5 * h[:, None]
-                z = mid[:, :, None] + 0.5 * h[:, None, None] * xg[None, None, :]
-                vals = np.exp(-z) * (AB[:, None, None] * (Z[:, None, None] - z)) ** q
-                part += 0.5 * h * np.einsum("ijk,k->i", vals, wg)
-            # last panel touches beta; Jacobi rule when the factor vanishes there
-            half = 0.5 * h
-            mid = Bt - half
-            vanish = Bt == Z
-            if np.any(vanish):
-                v = np.flatnonzero(vanish)
-                z = mid[v, None] + half[v, None] * xj[None, :]
-                part[v] += AB[v] ** q * half[v] ** (q + 1.0) * (np.exp(-z) @ wj)
-            if not np.all(vanish):
-                v = np.flatnonzero(~vanish)
-                z = mid[v, None] + half[v, None] * xg[None, :]
-                vals = np.exp(-z) * (AB[v, None] * (Z[v, None] - z)) ** q
-                part[v] += half[v] * (vals @ wg)
-            res[sel] = part
-        acc[ii] += res
+    ii = np.flatnonzero(a1 < beta)
+    if ii.size:
+        rise = rise_integral(q, zs[ii] - beta[ii], beta[ii] - a1[ii])
+        acc[ii] += absB[ii] ** q * np.exp(-a1[ii]) * rise
     out[live] = acc
     return out
 

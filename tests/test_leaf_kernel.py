@@ -4,7 +4,7 @@ solve_leaf, value and gradient are one-row calls of the batch functions,
 so every comparison here is exact.  The edge cases pin the paths a point
 can take through the kernel: Newton steps and their bisection fallback,
 endpoint clamps, the second leaf family, the skeleton, and chord
-parameters far past the 45 eps window of k_fn's quadrature.
+parameters 60 eps out, in the far field of k_fn.
 """
 
 import re
@@ -194,8 +194,9 @@ def test_skeleton_points_skip_the_solve():
 
 @pytest.mark.parametrize("pair,eps", [((1.0, 3.0), 1.0), ((4.0, 3.0), 0.5), ((2.5, 4.0), 2.0)])
 def test_chord_parameters_past_the_k_window(pair, eps):
-    # |x1| = 60 eps puts u beyond the 45 eps window of k_fn's quadrature and
-    # past the switch of m_fn to its exponential-weight rule
+    # |x1| = 60 eps puts u in the far field of k_fn, where its backward
+    # kernel has forgotten the left end, and past the switch of m_fn to its
+    # exponential-weight rule
     pa = Params(*pair, eps)
     grid = (0.1, 0.5, 0.9)
     pts = [point(pa, s, f2, f3) for s in (60.0, -60.0) for f2 in grid for f3 in grid]
@@ -308,12 +309,12 @@ OUTSIDE_TEXT = [
     (
         (4.0, 3.0, 0.6),
         (0.5, 0.4, 5.0),
-        "x3 = 5.0 outside the reachable interval [0.16046622516715062, 1.3470636416237092] at (0.5, 0.4)",
+        "x3 = 5.0 outside the reachable interval [0.1604662251671506, 1.3470636416237092] at (0.5, 0.4)",
     ),
     (
         (1.5, 3.0, 1.0),
         (1.5, 3.0, 9.0),
-        "x3 = 9.0 outside the reachable interval [2.0342020585529923, 2.234620173166087] at (1.5, 3.0)",
+        "x3 = 9.0 outside the reachable interval [2.0342020585529923, 2.2346201731660864] at (1.5, 3.0)",
     ),
     ((1.0, 3.0, 1.0), (2.0, 3.9, 2.0), "x2 = 3.9 outside [x1^2, x1^2 + eps^2] = [4.0, 5.0]"),
     ((1.0, 2.0, 1.0), (0.0, 5.0, 0.0), "x2 = 5.0 outside [x1^2, x1^2 + eps^2] = [0.0, 1.0]"),

@@ -12,7 +12,6 @@ import pytest
 import bmobell
 from bmobell import (
     DomainError,
-    QuadratureSpec,
     SingularityError,
     gamma_fn,
     k_fn,
@@ -110,15 +109,19 @@ def test_quad_routes_match_frozen_reference_table():
 
 
 def test_large_argument_branch_is_seamless():
-    # the far-field evaluation switches strategy around u/eps = 30
-    for p in (1.5, 2.5, 4.0):
-        u = np.linspace(29.0, 31.0, 161)
-        vals = m_fn(p, 1.0, u)
-        d2 = np.diff(vals, 2)
-        assert np.all(np.abs(d2) < 1e-6 * np.abs(vals[1:-1]).max())
-        ref = quad_m(p, 1.0, np.array([29.5, 30.5]), 0)
-        got = m_fn(p, 1.0, np.array([29.5, 30.5]))
-        np.testing.assert_allclose(got, ref, rtol=1e-9)
+    # m switches strategy around u/eps = 30; k hands spans (u - eps)/eps
+    # below 0.5 from the Kummer closed form to one Gauss panel
+    cases = ((m_fn, quad_m, 29.0, 31.0), (k_fn, quad_k, 1.49, 1.51))
+    for fn, quad_fn, lo, hi in cases:
+        for p in (1.5, 2.5, 4.0):
+            u = np.linspace(lo, hi, 161)
+            vals = fn(p, 1.0, u)
+            d2 = np.diff(vals, 2)
+            assert np.all(np.abs(d2) < 1e-6 * np.abs(vals[1:-1]).max())
+            probe = np.array([0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi])
+            ref = quad_fn(p, 1.0, probe, 0)
+            got = fn(p, 1.0, probe)
+            np.testing.assert_allclose(got, ref, rtol=1e-9)
 
 
 # ------------------------------------------------------------------ behaviour
@@ -161,13 +164,6 @@ def test_singularity_guard_at_origin():
             m_fn(1.5, 1.0, 0.0, order=order)
     # p >= 2 has no singular factor, orders stay finite
     assert np.isfinite(float(m_fn(2.5, 1.0, 0.0, order=2)))
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(node_count=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(node_count=-4)
 
 
 def test_reference_comparison_has_teeth():

@@ -63,8 +63,8 @@ def test_identity_suite_catches_a_corrupted_transform(monkeypatch):
 
     honest = specfn.m_fn
 
-    def crooked(p, eps, u, order=0, quad=None):
-        return honest(p, eps, u, order, quad) * (1.0 + 3e-6)
+    def crooked(p, eps, u, order=0):
+        return honest(p, eps, u, order) * (1.0 + 3e-6)
 
     monkeypatch.setattr(verify, "m_fn", crooked)
     rep = check_identities(Params(1.5, 3.0), np.array([1.0, 2.0, 4.0]))
@@ -240,6 +240,41 @@ def test_transference_check_passes_on_the_ladder(p, r):
     assert w["bmo"] <= 1.05
     assert w["ratio"] >= 0.95 * sharp_constant(p, r)
     assert run_suite("transference", Params(p, r))[0] == rep
+
+
+def test_transference_support_is_a_gate(monkeypatch):
+    from bmobell import ConstPiece, PiecewiseFn
+
+    # on the ladder the stray mass is 0, so the residual is the largest
+    # margin below a bar; any stray mass fails the run and is the residual
+    rep = check_transference(Params(1.0, 3.0))
+    w = rep.witness
+    margins = {
+        "moment_p": abs(w["integral_p"] - 0.5) / 0.5 - 0.02,
+        "moment_r": abs(w["integral_r"] - 3.0) / 3.0 - 0.02,
+        "bmo": w["bmo"] - 1.05,
+        "ratio": 0.95 * sharp_constant(1.0, 3.0) - w["ratio"],
+    }
+    assert rep.passed and rep.worst_residual < 0.0
+    assert w["worst_check"] != "support"
+    assert rep.worst_residual == max(margins.values())
+    assert margins[w["worst_check"]] == rep.worst_residual
+
+    honest = verify.testfn.build_ladder
+
+    def doctored(n, h, depth):
+        pieces = list(honest(n, h, depth).pieces)
+        first = pieces[0]
+        assert first.b <= 0.25 and first.v == 0.0
+        pieces[:1] = [ConstPiece(first.a, -3.0, 0.25), ConstPiece(-3.0, first.b, 0.0)]
+        return PiecewiseFn(pieces)
+
+    monkeypatch.setattr(verify.testfn, "build_ladder", doctored)
+    bad = check_transference(Params(1.0, 3.0))
+    assert not bad.passed
+    assert bad.witness["worst_check"] == "support"
+    assert bad.worst_residual == bad.witness["support_stray"] == 0.25
+    assert bad.cases == 5
 
 
 # ---------------------------------------------------------------- run_suite
