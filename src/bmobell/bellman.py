@@ -24,10 +24,10 @@ from .domain import (
     Regime,
     Region,
     as_triples,
-    bellman2d,
     chord_params,
     classify_batch,
     envelope_batch,
+    omega2_contains,
 )
 from .errors import BoundaryError, ConvergenceError, DomainError, SingularityError
 from .specfn import k_fn, m_fn
@@ -37,7 +37,8 @@ _RESIDUAL_REL = 1e-12
 _CLAMP_REL = 1e-10
 # a step within this many ulps of u ends a row's solve
 _STEP_ULPS = 4.0
-# rounds of fivefold step shrinking hessian_batch tries near the boundary
+# hessian_batch's relative step, and its rounds of fivefold shrinking near the boundary
+_FD_STEP = 1e-4
 _FD_SHRINKS = 6
 
 
@@ -189,12 +190,11 @@ def _newton(f, lo, hi, increasing: bool, scale):
 
 def _raise_outside(params: Params, x1: float, x2: float, x3: float):
     eps = params.eps
-    if x2 < x1 * x1 - 1e-12 or x2 > x1 * x1 + eps * eps + 1e-12:
+    if not omega2_contains(eps, x1, x2):
         raise DomainError(
             f"x2 = {x2} outside [x1^2, x1^2 + eps^2] = [{x1 * x1}, {x1 * x1 + eps * eps}]"
         )
-    lo = bellman2d(params, x1, x2, "lower")
-    hi = bellman2d(params, x1, x2, "upper")
+    lo, hi = (float(v[0]) for v in envelope_batch(params, [abs(x1)], [x2]))
     raise DomainError(f"x3 = {x3} outside the reachable interval [{lo}, {hi}] at ({x1}, {x2})")
 
 
@@ -293,20 +293,20 @@ def gradient(params: Params, x, margin: float = 1e-6) -> np.ndarray:
     return gradient_batch(params, _one_row(x), margin)[0]
 
 
-def hessian(params: Params, x, step: float = 1e-4) -> np.ndarray:
+def hessian(params: Params, x) -> np.ndarray:
     """Symmetrized central-difference Hessian of value; hessian_batch of one row."""
-    return hessian_batch(params, _one_row(x), step)[0]
+    return hessian_batch(params, _one_row(x))[0]
 
 
-def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
+def hessian_batch(params: Params, pts) -> np.ndarray:
     """Symmetrized central-difference Hessians from the analytic gradient.
 
-    Per-point steps start at step * max(1, |coord|) and shrink until every
-    displaced point keeps a fifth of its boundary slack, so the batched
-    gradient call below never trips its interiority guard.  A point still
-    unsafe after _FD_SHRINKS rounds raises BoundaryError.
+    Per-point steps start at _FD_STEP * max(1, |coord|) and shrink until
+    every displaced point keeps a fifth of its boundary slack, so the
+    batched gradient call below never trips its interiority guard.  A point
+    still unsafe after _FD_SHRINKS rounds raises BoundaryError.
     """
-    X = np.asarray(pts, dtype=float)
+    X = as_triples(pts)
     n = len(X)
     eps = params.eps
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
@@ -314,9 +314,9 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
     low, high = envelope_batch(params, a1, x2)
     slack2 = np.minimum(x2 - a1 * a1, a1 * a1 + eps * eps - x2)
     slack3 = np.minimum(x3 - low, high - x3)
-    h1 = step * np.maximum(1.0, a1)
-    h2 = np.minimum(step * np.maximum(1.0, x2), 0.25 * slack2)
-    h3 = np.minimum(step * np.maximum(1.0, np.abs(x3)), 0.25 * slack3)
+    h1 = _FD_STEP * np.maximum(1.0, a1)
+    h2 = np.minimum(_FD_STEP * np.maximum(1.0, x2), 0.25 * slack2)
+    h3 = np.minimum(_FD_STEP * np.maximum(1.0, np.abs(x3)), 0.25 * slack3)
     # lateral displacements move the envelope as well; shrink until safe
     z = np.zeros(n)
     for _ in range(_FD_SHRINKS):
@@ -331,7 +331,7 @@ def hessian_batch(params: Params, pts, step: float = 1e-4) -> np.ndarray:
             break
         h1 = np.where(ok, h1, 0.2 * h1)
         h2 = np.where(ok, h2, 0.2 * h2)
-    _refuse_boundary(X, ~ok, step * 0.2 ** (_FD_SHRINKS - 1))
+    _refuse_boundary(X, ~ok, _FD_STEP * 0.2 ** (_FD_SHRINKS - 1))
     disp = np.empty((6, n, 3))
     for j, hh in enumerate((h1, h2, h3)):
         for s, sgn in enumerate((1.0, -1.0)):

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import testfn, verify
-from .bellman import leaf_regions, leaf_value, solve_u_batch, value
-from .domain import Params, classify, envelope_batch
+from .bellman import leaf_regions, leaf_value, solve_u_batch
+from .domain import Params, envelope_batch
 from .errors import BmoBellError
 
 
@@ -27,6 +27,12 @@ def _params(args) -> Params:
     return Params(args.p, args.r, args.eps)
 
 
+def _leaves(params: Params, X: np.ndarray):
+    """(u, value, region) of every row of X, from one batch leaf solve."""
+    u, central, skel = solve_u_batch(params, X)
+    return u, leaf_value(params, X, u, central, skel), leaf_regions(X[:, 0], central, skel)
+
+
 def _cmd_eval(args) -> int:
     try:
         x = tuple(float(v) for v in args.x.split(","))
@@ -36,15 +42,13 @@ def _cmd_eval(args) -> int:
     if len(x) != 3:
         print(f"error: --x expects three coordinates, got {len(x)}", file=sys.stderr)
         return 2
-    params = _params(args)
-    got = value(params, x)
+    _, got, region = _leaves(_params(args), np.array([x]))
     if args.format == "json":
         import json
 
-        region = classify(params, x).value
-        print(json.dumps({"x": list(x), "region": region, "value": got}))
+        print(json.dumps({"x": list(x), "region": region[0].value, "value": float(got[0])}))
     else:
-        print(_fmt(got))
+        print(_fmt(got[0]))
     return 0
 
 
@@ -79,9 +83,7 @@ def _cmd_scan(args) -> int:
     x3 = np.array([np.linspace(a, b, n3) for a, b in zip(lo, hi)]).reshape(-1)
     X = np.column_stack([np.full(x3.size, x1), np.repeat(x2s[inside], n3), x3])
     if len(X):
-        u, central, skel = solve_u_batch(params, X)
-        got = leaf_value(params, X, u, central, skel)
-        regions = leaf_regions(X[:, 0], central, skel)
+        u, got, regions = _leaves(params, X)
     rows = ["x1,x2,x3,region,u,B"]
     k = 0
     for x2, ok in zip(x2s, inside):

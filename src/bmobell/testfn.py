@@ -32,7 +32,7 @@ from .specfn import gamma_fn, rise_integral
 # inside the cells of a 64-cell draw
 _GEN_LEVELS = 9
 
-# draws per pair scan in random_step_fns: the fastest width on 2 vCPUs
+# draws per pair scan in random_step_values: the fastest width on 2 vCPUs
 _SCAN_CHUNK = 256
 
 # windows shorter than this fraction of the domain are dropped from the
@@ -338,37 +338,37 @@ def second_moment(f: PiecewiseFn) -> float:
     return float(np.sum(i2) / f.length)
 
 
-def _abs_affine_exp(q: float, z1, z2, B, C) -> np.ndarray:
-    """integral_{z1}^{z2} exp(-z) |C - B z|^q dz, elementwise; z2 may be inf."""
+def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
+    """integral_{z1}^{z1 + dz} exp(-z) |C - B z|^q dz, elementwise; dz may be inf."""
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    z2 = np.atleast_1d(np.asarray(z2, dtype=float))
+    dz = np.atleast_1d(np.asarray(dz, dtype=float))
     B = np.atleast_1d(np.asarray(B, dtype=float))
     C = np.atleast_1d(np.asarray(C, dtype=float))
     out = np.zeros_like(z1)
     flat = B == 0.0
     if np.any(flat):
-        out[flat] = np.abs(C[flat]) ** q * (np.exp(-z1[flat]) - np.exp(-z2[flat]))
+        out[flat] = np.abs(C[flat]) ** q * np.exp(-z1[flat]) * -np.expm1(-dz[flat])
     live = ~flat
     if not np.any(live):
         return out
-    a1, a2, b_, c_ = z1[live], z2[live], B[live], C[live]
+    a1, w, b_, c_ = z1[live], dz[live], B[live], C[live]
     zs = c_ / b_
     absB = np.abs(b_)
     gq = gamma_fn(q + 1.0)
     # decaying side, z >= zs: |C - Bz| = |B| (z - zs)
     y1 = np.maximum(a1 - zs, 0.0)
-    y2 = np.maximum(a2 - zs, 0.0)
+    y2 = np.maximum(a1 + w - zs, 0.0)
     p2 = np.where(np.isinf(y2), 1.0, gammainc(q + 1.0, np.where(np.isinf(y2), 0.0, y2)))
     q2 = np.where(np.isinf(y2), 0.0, gammaincc(q + 1.0, np.where(np.isinf(y2), 0.0, y2)))
     tail_small = y1 < q + 1.0
     delta = np.where(tail_small, p2 - gammainc(q + 1.0, y1), gammaincc(q + 1.0, y1) - q2)
     acc = absB ** q * np.exp(-zs) * gq * np.maximum(delta, 0.0)
     # growing side, z <= zs: |C - Bz| = |B| (zs - z), and y = zs - z turns
-    # it into a rising integral from zs - beta over the span beta - z1
-    beta = np.minimum(a2, zs)
-    ii = np.flatnonzero(a1 < beta)
+    # it into a rising integral from zs - z1 - span over the span
+    span = np.minimum(w, zs - a1)
+    ii = np.flatnonzero(span > 0.0)
     if ii.size:
-        rise = rise_integral(q, zs[ii] - beta[ii], beta[ii] - a1[ii])
+        rise = rise_integral(q, zs[ii] - a1[ii] - span[ii], span[ii])
         acc[ii] += absB[ii] ** q * np.exp(-a1[ii]) * rise
     out[live] = acc
     return out
@@ -383,10 +383,11 @@ def moments(f: PiecewiseFn, q: float) -> float:
     logs = np.flatnonzero(kind == 1)
     if logs.size:
         wlo, whi = _w_bounds(f, f._pa[logs], f._pb[logs], logs)
+        # one logarithm for the width ln(whi / wlo) keeps what -ln(wlo) - z1 would cancel
         with np.errstate(divide="ignore", invalid="ignore"):
             z1 = -np.log(whi)
-            z2 = np.where(wlo > 0, -np.log(np.maximum(wlo, 1e-300)), np.inf)
-        total += float(np.sum(_abs_affine_exp(q, z1, z2, f._c1[logs], f._c0[logs])))
+            dz = np.where(wlo > 0, np.log1p((whi - wlo) / np.maximum(wlo, 1e-300)), np.inf)
+        total += float(np.sum(_abs_affine_exp(q, z1, dz, f._c1[logs], f._c0[logs])))
     lad = np.flatnonzero(kind == 2)
     if lad.size:
         # law beta + Exp(1): integral_0^inf e^-z |beta + z|^q dz per unit length
@@ -607,11 +608,17 @@ def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:
     return PiecewiseFn(pieces)
 
 
-def random_step_fns(seeds, cells: int, eps: float) -> list[PiecewiseFn]:
-    """random_step_fn for each seed, _SCAN_CHUNK draws per pair scan.
+def _step_fn(vals) -> PiecewiseFn:
+    """Step function on [0, 1) with one equal cell per value."""
+    edges = np.linspace(0.0, 1.0, len(vals) + 1)
+    return PiecewiseFn([ConstPiece(edges[i], edges[i + 1], v) for i, v in enumerate(vals)])
+
+
+def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
+    """Cell values of random_step_fn for each seed, as one (len(seeds), cells) array.
 
     The draws share one node grid, the 2^_GEN_LEVELS dyadic splits plus the
-    cell edges, so their prefix integrals stack as the columns of one scan.
+    cell edges, so _SCAN_CHUNK of them stack as the columns of one scan.
     """
     if not (isinstance(cells, int) and cells >= 2):
         raise DomainError(f"cells must be an integer >= 2, got {cells}")
@@ -619,25 +626,19 @@ def random_step_fns(seeds, cells: int, eps: float) -> list[PiecewiseFn]:
         raise DomainError(f"eps must be positive, got {eps}")
     edges = np.linspace(0.0, 1.0, cells + 1)
     nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2 ** _GEN_LEVELS + 1), edges]))
-
-    def step(vals):
-        return PiecewiseFn([ConstPiece(edges[i], edges[i + 1], vals[i]) for i in range(cells)])
-
-    draws = []
-    for seed in seeds:
+    out = np.empty((len(seeds), cells))
+    for vals, seed in zip(out, seeds):
         rng = np.random.Generator(np.random.Philox(seed))
-        vals = rng.normal(0.0, 1.0, cells)
+        vals[:] = rng.normal(0.0, 1.0, cells)
         while not np.ptp(vals) > 0:
-            vals = rng.normal(0.0, 1.0, cells)
-        draws.append(vals)
-    out = []
-    for c in range(0, len(draws), _SCAN_CHUNK):
-        block = draws[c : c + _SCAN_CHUNK]
+            vals[:] = rng.normal(0.0, 1.0, cells)
+    for c in range(0, len(out), _SCAN_CHUNK):
+        block = out[c : c + _SCAN_CHUNK]
         s1, s2 = np.empty((2, nodes.size, len(block)))
         for k, vals in enumerate(block):
-            s1[:, k], s2[:, k] = prefix_integrals(step(vals), nodes)
+            s1[:, k], s2[:, k] = prefix_integrals(_step_fn(vals), nodes)
         best = _pair_scan(nodes, s1, s2, _MIN_WINDOW)
-        out.extend(step(vals * (eps / math.sqrt(max(v, 0.0)))) for vals, v in zip(block, best))
+        block *= (eps / np.sqrt(np.maximum(best, 0.0)))[:, None]
     return out
 
 
@@ -647,7 +648,7 @@ def random_step_fn(seed: int, cells: int, eps: float) -> PiecewiseFn:
     Cell values come from Philox(seed); the seminorm is the pair-scan
     kernel on the node grid shared by every draw with this cell count.
     """
-    return random_step_fns([seed], cells, eps)[0]
+    return _step_fn(random_step_values([seed], cells, eps)[0])
 
 
 def to_csv(f: PiecewiseFn) -> str:

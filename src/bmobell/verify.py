@@ -24,7 +24,6 @@ from .bellman import (
     hessian_leaf_batch,
     leaf_value,
     solve_u_batch,
-    value,
     value_batch,
     gradient_batch,
 )
@@ -122,15 +121,13 @@ def check_identities(params: Params, u_grid) -> VerifyReport:
 def check_skeleton(params: Params, t_grid) -> VerifyReport:
     """Boundary condition along the curve (t, t^2, |t|^p)."""
     p, r = params.p, params.r
-    worst, witness = -math.inf, None
     t_grid = [float(t) for t in t_grid]
-    for t in t_grid:
-        want = abs(t) ** r
-        got = value(params, (t, t * t, abs(t) ** p))
-        res = 0.0 if got == want else abs(got - want) / max(1.0, abs(want))
-        if res > worst:
-            worst, witness = res, {"t": t, "value": got, "expected": want}
-    return _report("skeleton", _pdict(params), len(t_grid), worst, witness)
+    want = np.array([abs(t) ** r for t in t_grid])
+    got = value_batch(params, [(t, t * t, abs(t) ** p) for t in t_grid])
+    res = np.where(got == want, 0.0, np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    i = int(np.argmax(res))
+    witness = {"t": t_grid[i], "value": float(got[i]), "expected": float(want[i])}
+    return _report("skeleton", _pdict(params), len(t_grid), res[i], witness)
 
 
 def _interior_samples(params: Params, n: int, rng, margin: float = 1e-3):
@@ -220,20 +217,18 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
     Each function is normalized to unit oscillation scale; its first, second
     and p-th moments locate a point whose evaluated bound must dominate
     (or, in the convex regime, stay below) the measured r-th moment.  The
-    functions are drawn a scan stack at a time and only their moments kept.
+    moments come from the cell values of all the draws at once.
     """
     if params.regime is Regime.DEGENERATE:
         raise DomainError("oracle needs a non-degenerate exponent pair")
     p, r, eps = params.p, params.r, params.eps
     seeds = np.random.SeedSequence(seed).generate_state(int(n_fns), dtype=np.uint64)
-    pts = np.empty((int(n_fns), 3))
-    xr = np.empty(int(n_fns))
-    chunk = testfn._SCAN_CHUNK
-    for c in range(0, len(seeds), chunk):
-        block = testfn.random_step_fns([int(s) for s in seeds[c : c + chunk]], cells, eps)
-        for i, f in enumerate(block, start=c):
-            pts[i] = (testfn.mean(f), testfn.second_moment(f), testfn.moments(f, p))
-            xr[i] = testfn.moments(f, r)
+    vals = testfn.random_step_values([int(s) for s in seeds], cells, eps)
+    mags = np.abs(vals)
+    # width-weighted row sums are the step functions' piece integrals, bit for bit
+    width = np.diff(np.linspace(0.0, 1.0, cells + 1))
+    pts = np.column_stack([(g * width).sum(axis=1) for g in (vals, vals * vals, mags ** p)])
+    xr = (mags ** r * width).sum(axis=1)
     # snap float-rim cases onto the body; anything farther out means the
     # generator itself is broken and the run must not be trusted
     slack = 1e-9
@@ -269,24 +264,24 @@ def check_attainment(params: Params, u_grid) -> VerifyReport:
     third coordinates u^p + eps*m_p(u) and u^p - eps*k_p(u).
     """
     p, r, eps = params.p, params.r, params.eps
-    worst, witness = -math.inf, None
-    cases = 0
+    cases = []
     for u in (float(v) for v in u_grid):
         for tag, f, x1, x3c in (
             ("plus", testfn.optimizer_uplus(eps, u), u + eps, u ** p + eps * float(m_fn(p, eps, u))),
             ("minus", testfn.optimizer_uminus(eps, u), u - eps, u ** p - eps * float(k_fn(p, eps, u))),
         ):
-            mom_p = testfn.moments(f, p)
-            mom_r = testfn.moments(f, r)
-            got = value(params, (x1, x1 * x1 + eps * eps, mom_p))
-            res_m = abs(mom_p - x3c) / max(1.0, abs(x3c))
-            res_v = abs(got - mom_r) / max(1.0, abs(mom_r))
-            cases += 2
-            for label, res in (("p-moment", res_m), ("value", res_v)):
-                if res > worst:
-                    worst = res
-                    witness = {"u": u, "side": tag, "check": label}
-    return _report("attainment", _pdict(params), cases, worst, witness)
+            cases.append((u, tag, x1, x3c, testfn.moments(f, p), testfn.moments(f, r)))
+    us, tags, *cols = zip(*cases)
+    x1, x3c, mom_p, mom_r = (np.array(c) for c in cols)
+    got = value_batch(params, np.column_stack([x1, x1 * x1 + eps * eps, mom_p]))
+    # each extremal's p-moment residual, then its value residual: ties go to the first met
+    res = np.column_stack([
+        np.abs(mom_p - x3c) / np.maximum(1.0, np.abs(x3c)),
+        np.abs(got - mom_r) / np.maximum(1.0, np.abs(mom_r)),
+    ])
+    i, j = divmod(int(np.argmax(res)), 2)
+    witness = {"u": us[i], "side": tags[i], "check": ("p-moment", "value")[j]}
+    return _report("attainment", _pdict(params), res.size, res[i, j], witness)
 
 
 def sharp_constant(p: float, r: float) -> float:
@@ -331,23 +326,24 @@ def extract_constant(params: Params, grid_density: int):
     n = int(grid_density)
     x2s = np.linspace(0.0, 1.0, n + 1)[1:]
     lines = max(1, _SLICE_BLOCK // n)
-    best, arg = -math.inf, None
+    peaks, at = [], []
     for start in range(0, n, lines):
         x2 = x2s[start : start + lines]
         lo, hi = envelope_batch(params, np.zeros_like(x2), x2)
         x3 = np.linspace(lo, hi, n, axis=1)
         X = np.column_stack([np.zeros(x3.size), np.repeat(x2, n), x3.ravel()])
         ratios = (leaf_value(params, X, *solve_u_batch(params, X)) / X[:, 2]).reshape(x3.shape)
-        for row, ratio, line in zip(x2, ratios, x3):
-            m = float(ratio.max())
-            ties = np.flatnonzero(ratio >= m - 1e-12 * abs(m))
-            j = int(ties[-1])
-            if m > best + 1e-12 * abs(m):
-                best, arg = m, (0.0, float(row), float(line[j]))
-            elif m >= best - 1e-12 * abs(best):
-                best = max(best, m)
-                arg = (0.0, float(row), float(line[j]))
-    return best ** (1.0 / params.r), arg
+        m = ratios.max(axis=1)
+        # last column within the row's tie band
+        j = n - 1 - np.argmax((ratios >= (m - 1e-12 * np.abs(m))[:, None])[:, ::-1], axis=1)
+        peaks.append(m)
+        at.append(x3[np.arange(len(x2)), j])
+    peaks, at = np.concatenate(peaks), np.concatenate(at)
+    # a row takes the argmax when its peak reaches the tie band of the best
+    # row before it; the last such row wins
+    before = np.maximum.accumulate(np.concatenate([[-math.inf], peaks[:-1]]))
+    k = int(np.flatnonzero(peaks >= before - 1e-12 * np.abs(before))[-1])
+    return float(peaks.max()) ** (1.0 / params.r), (0.0, float(x2s[k]), float(at[k]))
 
 
 def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6) -> dict:

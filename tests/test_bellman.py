@@ -14,6 +14,7 @@ from bmobell import (
     Params,
     Region,
     bellman2d,
+    classify_batch,
     gamma_fn,
     gradient,
     gradient_batch,
@@ -21,6 +22,7 @@ from bmobell import (
     hessian_batch,
     hessian_leaf_batch,
     solve_leaf,
+    solve_u_batch,
     value,
     value_batch,
 )
@@ -178,6 +180,15 @@ def test_scalar_hessian_agrees_with_batch():
     hs = hessian(PA, x)
     hb = hessian_batch(PA, np.array([x]))[0]
     np.testing.assert_array_equal(hs, hb)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [classify_batch, solve_u_batch, value_batch, gradient_batch, hessian_batch, hessian_leaf_batch],
+)
+def test_batch_entries_refuse_two_column_input(entry):
+    with pytest.raises(DomainError, match=r"expected an \(n, 3\) array of moment triples"):
+        entry(Params(1.0, 3.0), np.array([[0.3, 0.8]]))
 
 
 def test_scalar_hessian_refuses_boundary_points():

@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 
 import bmobell.bellman
-from bmobell import Params, VerifyReport, cli, from_csv, moments, solve_u_batch, value_batch
+import bmobell.domain
+import bmobell.verify
+from bmobell import (
+    Params,
+    VerifyReport,
+    check_attainment,
+    check_skeleton,
+    cli,
+    from_csv,
+    moments,
+    solve_u_batch,
+    value_batch,
+)
 
 
 def run(argv, capsys):
@@ -36,6 +48,21 @@ def test_eval_json_format(capsys):
     obj = json.loads(out)
     assert obj["region"] == "XiZero"
     assert obj["value"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_eval_json_reports_the_solved_leaf(capsys):
+    # the classifier puts this point on the XiZero side of the transition
+    # leaf, but its level lies on the XiMinus chord leaf at u just above eps
+    x = "-0.7460125840280478,1.06050307583256,1.060424582646188"
+    code, out, _ = run(["eval", "--p", "1.999", "--r", "10", f"--x={x}", "--format", "json"], capsys)
+    assert code == 0
+    pa = Params(1.999, 10.0)
+    X = np.array([[float(v) for v in x.split(",")]])
+    u, central, _ = solve_u_batch(pa, X)
+    assert not central[0] and u[0] > pa.eps
+    obj = json.loads(out)
+    assert obj["region"] == "XiMinus"
+    assert obj["value"] == value_batch(pa, X)[0]
 
 
 def test_eval_outside_point_is_a_domain_failure(capsys):
@@ -163,6 +190,30 @@ def test_scan_solves_every_row_in_one_batch(capsys, monkeypatch):
     pa = Params(1.0, 3.0)
     assert [float(r[5]) for r in live] == value_batch(pa, X).tolist()
     assert [float(r[4]) for r in live] == solve_u_batch(pa, X)[0].tolist()
+
+
+def test_eval_and_point_suites_make_one_batch_call(capsys, monkeypatch):
+    calls = {"solve_u_batch": 0, "classify": 0, "value_batch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "solve_u_batch", counted("solve_u_batch", cli.solve_u_batch))
+    for mod in (bmobell, bmobell.domain, cli):
+        if hasattr(mod, "classify"):
+            monkeypatch.setattr(mod, "classify", counted("classify", mod.classify))
+    code, _, _ = run(["eval", "--p", "1", "--r", "3", "--x", "0,1,0.5", "--format", "json"], capsys)
+    assert code == 0
+    assert calls == {"solve_u_batch": 1, "classify": 0, "value_batch": 0}
+    monkeypatch.setattr(bmobell.verify, "value_batch", counted("value_batch", bmobell.verify.value_batch))
+    check_skeleton(Params(1.0, 3.0), np.linspace(-5.0, 5.0, 41))
+    assert calls["value_batch"] == 1
+    check_attainment(Params(1.0, 3.0), (1.0, 1.5, 3.0))
+    assert calls["value_batch"] == 2
 
 
 def test_scan_grid_parse_errors(capsys):

@@ -27,7 +27,7 @@ from bmobell import (
     optimizer_uplus,
     prefix_integrals,
     random_step_fn,
-    random_step_fns,
+    random_step_values,
     second_moment,
     to_csv,
     transfer,
@@ -356,24 +356,24 @@ def test_random_step_fn_respects_the_oscillation_budget():
         assert bmo_norm(f, 7) <= 0.8 + 1e-9
 
 
-def test_random_step_fns_match_single_draws(monkeypatch):
+def test_random_step_values_match_single_draws(monkeypatch):
     # 100 seeds are one partial chunk at 64 cells; at 48 cells, which does
     # not divide the 2^9 grid, chunks of 32 give three full blocks and a part
     for cells, eps, chunk in ((64, 1.0, testfn._SCAN_CHUNK), (48, 0.37, 32)):
         monkeypatch.setattr(testfn, "_SCAN_CHUNK", chunk)
         seeds = list(range(1000, 1100))
-        batch = random_step_fns(seeds, cells, eps)
-        assert len(batch) == len(seeds)
-        for s, f in zip(seeds, batch):
-            assert f.pieces == random_step_fn(s, cells, eps).pieces
+        batch = random_step_values(seeds, cells, eps)
+        assert batch.shape == (len(seeds), cells)
+        for s, vals in zip(seeds, batch):
+            assert vals.tolist() == [pc.v for pc in random_step_fn(s, cells, eps).pieces]
 
 
-def test_random_step_fns_guards():
-    assert random_step_fns([], 8, 1.0) == []
+def test_random_step_values_guards():
+    assert random_step_values([], 8, 1.0).shape == (0, 8)
     with pytest.raises(DomainError):
-        random_step_fns([1], 1, 1.0)
+        random_step_values([1], 1, 1.0)
     with pytest.raises(DomainError):
-        random_step_fns([1], 8, 0.0)
+        random_step_values([1], 8, 0.0)
 
 
 def test_csv_round_trip_is_bitwise():

@@ -2,6 +2,7 @@
 importantly, fails loudly when fed a corrupted route."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,10 +23,16 @@ from bmobell import (
     edge_ratio,
     extract_constant,
     gamma_fn,
+    mean,
+    moments,
+    random_step_fn,
     run_suite,
+    second_moment,
     sharp_constant,
     transference_metrics,
+    value_batch,
 )
+from bmobell.domain import envelope_batch
 
 PAIRS = (Params(1.0, 3.0), Params(2.5, 4.0), Params(4.0, 3.0), Params(1.2, 1.5))
 
@@ -113,6 +120,16 @@ def test_oracle_suite_passes_both_regimes():
         assert rep.worst_residual < 0.0
 
 
+@pytest.mark.parametrize("cells", [32, 48])
+def test_oracle_moments_are_the_step_functions_moments(cells):
+    # 48 equal cells have unequal float widths; the moments are still those
+    # of the piecewise integrals, bit for bit
+    rep = check_inequality_oracle(Params(1.0, 3.0), 50, cells=cells, seed=7)
+    f = random_step_fn(rep.witness["seed"], cells, 1.0)
+    assert rep.witness["x"] == [mean(f), second_moment(f), moments(f, 1.0)]
+    assert rep.witness["moment_r"] == moments(f, 3.0)
+
+
 def test_oracle_suite_catches_a_halved_evaluator(monkeypatch):
     # random step functions stay well inside the bound, so the oracle is a
     # gross-correctness net; the fine probe below goes through attainment
@@ -130,12 +147,12 @@ def test_oracle_suite_catches_a_halved_evaluator(monkeypatch):
 def test_attainment_suite_catches_a_shaved_evaluator(monkeypatch):
     # the rim extremals sit exactly on the bound, so even a 1e-5 shave
     # must push the value residual over its 1e-6 ceiling
-    honest = verify.value
+    honest = verify.value_batch
 
-    def shaved(params, x):
-        return (1.0 - 1e-5) * honest(params, x)
+    def shaved(params, pts):
+        return (1.0 - 1e-5) * honest(params, pts)
 
-    monkeypatch.setattr(verify, "value", shaved)
+    monkeypatch.setattr(verify, "value_batch", shaved)
     rep = check_attainment(Params(1.0, 3.0), (1.0, 1.5))
     assert not rep.passed
     assert rep.worst_residual > 1e-6
@@ -192,6 +209,27 @@ def test_extract_constant_improves_with_density():
     assert abs(c200 - best) <= abs(c60 - best) + 1e-12
     # the scan never beats the true constant
     assert c200 <= best * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("pa", [Params(1.0, 3.0), Params(2.5, 4.0)])
+@pytest.mark.parametrize("n", [64, 120])
+def test_extract_constant_matches_the_row_loop(pa, n):
+    # reference: the whole slice in one value_batch call, and a Python loop
+    # over its rows with the relative 1e-12 tie band within and across rows
+    x2s = np.linspace(0.0, 1.0, n + 1)[1:]
+    lo, hi = envelope_batch(pa, np.zeros_like(x2s), x2s)
+    x3 = np.linspace(lo, hi, n, axis=1)
+    X = np.column_stack([np.zeros(x3.size), np.repeat(x2s, n), x3.ravel()])
+    ratios = (value_batch(pa, X) / X[:, 2]).reshape(x3.shape)
+    best, arg = -math.inf, None
+    for row, ratio, line in zip(x2s, ratios, x3):
+        m = float(ratio.max())
+        j = int(np.flatnonzero(ratio >= m - 1e-12 * abs(m))[-1])
+        if m > best + 1e-12 * abs(m):
+            best, arg = m, (0.0, float(row), float(line[j]))
+        elif m >= best - 1e-12 * abs(best):
+            best, arg = max(best, m), (0.0, float(row), float(line[j]))
+    assert extract_constant(pa, n) == (best ** (1.0 / pa.r), arg)
 
 
 def test_extract_constant_guards():
