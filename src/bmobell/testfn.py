@@ -98,10 +98,15 @@ class LadderPiece:
 
 
 class PiecewiseFn:
-    """Immutable ordered list of pieces partitioning [a, b) with no gaps."""
+    """Immutable ordered list of pieces partitioning [a, b) with no gaps.
+
+    bmo_norm keeps each reading it makes in _bmo, keyed by levels, so the
+    seminorm of one function is scanned once per levels and lives as long
+    as the function does.
+    """
 
     __slots__ = (
-        "pieces", "a", "b", "_kind", "_pa", "_pb", "_c0", "_c1", "_sig", "_tau", "_nb",
+        "pieces", "a", "b", "_kind", "_pa", "_pb", "_c0", "_c1", "_sig", "_tau", "_nb", "_bmo",
     )
 
     def __init__(self, pieces):
@@ -145,6 +150,7 @@ class PiecewiseFn:
         self._c0, self._c1 = c0, c1
         self._sig, self._tau = sig, tau
         self._nb = nb
+        self._bmo = {}
 
     @property
     def domain(self):
@@ -468,16 +474,19 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
     lower bound of the true seminorm, nondecreasing in levels.  A ladder
     piece adds only its two ends, so windows inside it are seen through the
     dyadic nodes alone; lay out enough ladder levels as log pieces.  The
-    scan is the stacked pair-scan kernel run on a single column.
+    scan is the stacked pair-scan kernel run on a single column.  The
+    reading is kept on f per levels, so later calls return it unscanned.
     """
     if not isinstance(levels, int) or not 1 <= levels <= 16:
         raise DomainError(f"levels must be an integer in [1, 16], got {levels}")
-    nodes = np.unique(
-        np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()])
-    )
-    s1, s2 = prefix_integrals(f, nodes)
-    best = _pair_scan(nodes, s1[:, None], s2[:, None], _MIN_WINDOW * f.length)[0]
-    return math.sqrt(max(best, 0.0))
+    if levels not in f._bmo:
+        nodes = np.unique(
+            np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()])
+        )
+        s1, s2 = prefix_integrals(f, nodes)
+        best = _pair_scan(nodes, s1[:, None], s2[:, None], _MIN_WINDOW * f.length)[0]
+        f._bmo[levels] = math.sqrt(max(best, 0.0))
+    return f._bmo[levels]
 
 
 def transfer(f: PiecewiseFn, J) -> PiecewiseFn:
@@ -619,6 +628,8 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
 
     The draws share one node grid, the 2^_GEN_LEVELS dyadic splits plus the
     cell edges, so _SCAN_CHUNK of them stack as the columns of one scan.
+    Their prefix integrals are running sums of value times width over the
+    grid segments, in the order prefix_integrals adds a step function's.
     """
     if not (isinstance(cells, int) and cells >= 2):
         raise DomainError(f"cells must be an integer >= 2, got {cells}")
@@ -626,6 +637,8 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
         raise DomainError(f"eps must be positive, got {eps}")
     edges = np.linspace(0.0, 1.0, cells + 1)
     nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2 ** _GEN_LEVELS + 1), edges]))
+    cell = np.clip(np.searchsorted(edges[:-1], nodes[:-1], side="right") - 1, 0, cells - 1)
+    width = np.diff(nodes)[:, None]
     out = np.empty((len(seeds), cells))
     for vals, seed in zip(out, seeds):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -634,9 +647,10 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
             vals[:] = rng.normal(0.0, 1.0, cells)
     for c in range(0, len(out), _SCAN_CHUNK):
         block = out[c : c + _SCAN_CHUNK]
-        s1, s2 = np.empty((2, nodes.size, len(block)))
-        for k, vals in enumerate(block):
-            s1[:, k], s2[:, k] = prefix_integrals(_step_fn(vals), nodes)
+        v = block.T[cell]
+        s1, s2 = np.zeros((2, nodes.size, len(block)))
+        np.cumsum(v * width, axis=0, out=s1[1:])
+        np.cumsum(v * v * width, axis=0, out=s2[1:])
         best = _pair_scan(nodes, s1, s2, _MIN_WINDOW)
         block *= (eps / np.sqrt(np.maximum(best, 0.0)))[:, None]
     return out

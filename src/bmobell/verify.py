@@ -350,16 +350,18 @@ def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6)
     """Measured line-inequality quantities for a compactly supported model.
 
     delta is not used; it stays so that positional callers keep working.
+    bmo_norm keeps its reading on psi, so further (p, r) pairs on the same
+    psi and levels reuse one pair scan.
     """
     length = psi.length
     int_p = testfn.moments(psi, p) * length
     int_r = testfn.moments(psi, r) * length
     if not int_p > 0.0:
         raise DomainError("degenerate input: the function vanishes identically")
-    # support: everything outside the unit interval must be flat zero
+    # support: every piece reaching outside the unit interval must be flat zero
     stray = 0.0
     for piece in psi.pieces:
-        if piece.b <= 0.0 or piece.a >= 1.0:
+        if piece.a < 0.0 or piece.b > 1.0:
             v = abs(piece.v) if isinstance(piece, testfn.ConstPiece) else math.inf
             stray = max(stray, v)
     b = testfn.bmo_norm(psi, levels)

@@ -31,6 +31,7 @@ from bmobell import (
     second_moment,
     to_csv,
     transfer,
+    transference_metrics,
 )
 
 from _frozen import MOMENT_MIXED_33, MOMENT_UMINUS_22_17, MOMENT_UPLUS_07_25
@@ -232,6 +233,57 @@ def test_bmo_levels_guard():
         bmo_norm(two_step(), 17)
 
 
+def count_scans(monkeypatch):
+    """Patch testfn._pair_scan to count its calls; returns the running count."""
+    calls = []
+    scan = testfn._pair_scan
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(testfn, "_pair_scan", counted)
+    return calls
+
+
+def test_bmo_norm_keeps_one_reading_per_levels(monkeypatch):
+    calls = count_scans(monkeypatch)
+    f = mixed_fn()
+    got = [bmo_norm(f, lv) for lv in (6, 7, 6)]
+    assert len(calls) == 2
+    # each reading is the one a fresh copy scans, bit for bit
+    assert got == [bmo_norm(mixed_fn(), lv) for lv in (6, 7, 6)]
+    assert got[0] != got[1]
+    assert len(calls) == 5
+    # a kept reading does not get round the levels guard
+    with pytest.raises(DomainError):
+        bmo_norm(f, 0)
+    with pytest.raises(DomainError):
+        bmo_norm(f, 6.0)
+
+
+def test_transference_metrics_scans_a_function_once(monkeypatch):
+    calls = count_scans(monkeypatch)
+    psi = build_ladder(4, 0.1, 5)
+    pairs = ((1.0, 3.0), (1.0, 2.5), (2.5, 4.0), (1.5, 3.0))
+    got = [transference_metrics(psi, p, r, 0.05) for p, r in pairs]
+    assert len(calls) == 1
+    assert len({w["bmo"] for w in got}) == 1
+    # a fresh ladder per pair scans per pair and reads the same
+    fresh = [transference_metrics(build_ladder(4, 0.1, 5), p, r, 0.05) for p, r in pairs]
+    assert len(calls) == 5
+    assert fresh == got
+
+
+def test_transfer_gets_its_own_reading(monkeypatch):
+    calls = count_scans(monkeypatch)
+    f = mixed_fn()
+    bmo_norm(f, 5)
+    g = transfer(f, (2.0, 2.5))
+    assert bmo_norm(g, 5) == bmo_norm(transfer(mixed_fn(), (2.0, 2.5)), 5)
+    assert len(calls) == 3
+
+
 # ------------------------------------------------------------ rearrangements
 
 
@@ -366,6 +418,32 @@ def test_random_step_values_match_single_draws(monkeypatch):
         assert batch.shape == (len(seeds), cells)
         for s, vals in zip(seeds, batch):
             assert vals.tolist() == [pc.v for pc in random_step_fn(s, cells, eps).pieces]
+
+
+def test_random_step_values_match_the_per_draw_route(monkeypatch):
+    # the route the prefix sums replaced: one step function per draw
+    # through prefix_integrals, then its own pair scan and the rescale
+    def per_draw(seed, cells, eps):
+        rng = np.random.Generator(np.random.Philox(seed))
+        raw = rng.normal(0.0, 1.0, cells)
+        while not np.ptp(raw) > 0:
+            raw = rng.normal(0.0, 1.0, cells)
+        edges = np.linspace(0.0, 1.0, cells + 1)
+        grid = np.linspace(0.0, 1.0, 2 ** testfn._GEN_LEVELS + 1)
+        nodes = np.unique(np.concatenate([grid, edges]))
+        s1, s2 = prefix_integrals(testfn._step_fn(raw), nodes)
+        best = testfn._pair_scan(nodes, s1[:, None], s2[:, None], testfn._MIN_WINDOW)[0]
+        return (raw * (eps / math.sqrt(max(best, 0.0)))).tolist()
+
+    seeds = list(range(40))
+    for cells in (2, 3, 7, 48, 64):
+        got = random_step_values(seeds, cells, 0.9)
+        assert got.tolist() == [per_draw(s, cells, 0.9) for s in seeds]
+    # 70 draws in chunks of 32: two full blocks and a partial one
+    monkeypatch.setattr(testfn, "_SCAN_CHUNK", 32)
+    seeds = list(range(500, 570))
+    got = random_step_values(seeds, 48, 1.0)
+    assert got.tolist() == [per_draw(s, 48, 1.0) for s in seeds]
 
 
 def test_random_step_values_guards():

@@ -264,6 +264,23 @@ def test_ladder_meets_the_ratio_bar_for_every_pair():
         assert w["ratio"] >= 0.95 * sharp_constant(p, r)
 
 
+def test_transference_support_counts_pieces_reaching_outside():
+    from bmobell import ConstPiece, LogPiece, PiecewiseFn
+
+    # pieces straddling 0 or 1 count whole, as do nonzero pieces wholly outside;
+    # zero pieces outside never do
+    cases = (
+        ([ConstPiece(-1.0, 0.5, 1.0), ConstPiece(0.5, 1.0, 2.0)], 1.0),
+        ([ConstPiece(0.0, 0.5, 1.0), ConstPiece(0.5, 1.5, -2.0)], 2.0),
+        ([ConstPiece(-1.0, 0.0, 0.0), ConstPiece(0.0, 1.0, 3.0), ConstPiece(1.0, 2.0, 0.0)], 0.0),
+        ([LogPiece(0.0, 1.5, 0.0, -1.0, 1.0, 0.0)], math.inf),
+        ([ConstPiece(-2.0, -1.0, 0.5), ConstPiece(-1.0, 0.0, 0.0), ConstPiece(0.0, 1.0, 1.0)], 0.5),
+    )
+    for pieces, stray in cases:
+        w = transference_metrics(PiecewiseFn(pieces), 1.0, 3.0, 0.05)
+        assert w["support_stray"] == stray
+
+
 @pytest.mark.parametrize("p, r", [(1.0, 3.0), (1.0, 2.5), (2.5, 4.0), (1.5, 3.0)])
 def test_transference_check_passes_on_the_ladder(p, r):
     rep = check_transference(Params(p, r))
@@ -304,7 +321,8 @@ def test_transference_support_is_a_gate(monkeypatch):
         pieces = list(honest(n, h, depth).pieces)
         first = pieces[0]
         assert first.b <= 0.25 and first.v == 0.0
-        pieces[:1] = [ConstPiece(first.a, -3.0, 0.25), ConstPiece(-3.0, first.b, 0.0)]
+        # the raised piece reaches into the unit interval, up to 1/4
+        pieces[0] = ConstPiece(first.a, first.b, 0.25)
         return PiecewiseFn(pieces)
 
     monkeypatch.setattr(verify.testfn, "build_ladder", doctored)
