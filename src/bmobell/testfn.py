@@ -98,59 +98,108 @@ class LadderPiece:
 
 
 class PiecewiseFn:
-    """Immutable ordered list of pieces partitioning [a, b) with no gaps.
+    """Immutable partition of [a, b) into pieces, held as one array per field.
 
-    bmo_norm keeps each reading it makes in _bmo, keyed by levels, so the
-    seminorm of one function is scanned once per levels and lives as long
-    as the function does.
+    Row i of the eight arrays is piece i: _kind (0 constant, 1 log, 2
+    ladder), its ends _pa and _pb, and _c0, _c1, _sig, _tau, _nb.  A
+    constant keeps its value in _c0; a log piece keeps c0, c1, sigma and
+    tau; a ladder piece keeps beta in _c0, the step h in _c1 and the
+    branching in _nb.  Unused fields read c1 = 0, sigma = 1, tau = 0 and
+    n = 0.  PiecewiseFn(pieces) and from_arrays validate through the same
+    check, and the piece objects are built from the arrays on first access
+    to pieces.
+
+    Readings that depend only on the function, such as bmo_norm per levels
+    and moments per exponent, are kept in _memo, keyed by what was read, and
+    live as long as the function does.
     """
 
     __slots__ = (
-        "pieces", "a", "b", "_kind", "_pa", "_pb", "_c0", "_c1", "_sig", "_tau", "_nb", "_bmo",
+        "a", "b", "_kind", "_pa", "_pb", "_c0", "_c1", "_sig", "_tau", "_nb", "_pieces", "_memo",
     )
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
-        if not pieces:
-            raise DomainError("a piecewise function needs at least one piece")
+        rows = []
         for pc in pieces:
-            if not isinstance(pc, (ConstPiece, LogPiece, LadderPiece)):
-                raise DomainError(f"unsupported piece {pc!r}")
-            if not pc.b > pc.a:
-                raise DomainError(f"piece [{pc.a}, {pc.b}) is empty or reversed")
-        for left, right in zip(pieces, pieces[1:]):
-            if left.b != right.a:
-                raise DomainError(f"pieces must abut exactly: {left.b} != {right.a}")
-        self.pieces = pieces
-        self.a = pieces[0].a
-        self.b = pieces[-1].b
-        n = len(pieces)
-        kind = np.zeros(n, dtype=np.uint8)
-        pa = np.empty(n)
-        pb = np.empty(n)
-        c0 = np.zeros(n)
-        c1 = np.zeros(n)
-        sig = np.ones(n)
-        tau = np.zeros(n)
-        # ladder pieces keep beta in c0, the step h in c1 and the branching here
-        nb = np.zeros(n)
-        for i, pc in enumerate(pieces):
-            pa[i], pb[i] = pc.a, pc.b
             if isinstance(pc, ConstPiece):
-                c0[i] = pc.v
+                rows.append((0, pc.a, pc.b, pc.v, 0.0, 1.0, 0.0, 0))
             elif isinstance(pc, LogPiece):
-                kind[i] = 1
-                c0[i], c1[i] = pc.c0, pc.c1
-                sig[i], tau[i] = float(pc.sigma), pc.tau
+                rows.append((1, pc.a, pc.b, pc.c0, pc.c1, pc.sigma, pc.tau, 0))
+            elif isinstance(pc, LadderPiece):
+                rows.append((2, pc.a, pc.b, pc.beta, pc.h, 1.0, 0.0, pc.n))
             else:
-                kind[i] = 2
-                c0[i], c1[i], nb[i] = pc.beta, pc.h, pc.n
+                raise DomainError(f"unsupported piece {pc!r}")
+        self._set(*np.array(rows, dtype=float).reshape(-1, 8).T)
+        self._pieces = pieces
+
+    @classmethod
+    def from_arrays(cls, kind, pa, pb, c0, c1, sig, tau, nb) -> "PiecewiseFn":
+        """The function whose piece i is row i of the eight field arrays."""
+        f = cls.__new__(cls)
+        f._set(kind, pa, pb, c0, c1, sig, tau, nb)
+        f._pieces = None
+        return f
+
+    def _set(self, kind, pa, pb, c0, c1, sig, tau, nb):
+        """Validate the eight field arrays and take copies of them, read-only."""
+        cols = [np.array(v, dtype=float) for v in (kind, pa, pb, c0, c1, sig, tau, nb)]
+        if cols[0].ndim != 1 or any(v.shape != cols[0].shape for v in cols):
+            raise DomainError("piece fields must be one-dimensional arrays of one length")
+        kind, pa, pb, c0, c1, sig, tau, nb = cols
+        if not kind.size:
+            raise DomainError("a piecewise function needs at least one piece")
+        bad = np.flatnonzero(~np.isin(kind, (0.0, 1.0, 2.0)))
+        if bad.size:
+            raise DomainError(f"unsupported piece kind {kind[bad[0]]}")
+        bad = np.flatnonzero(~(pb > pa))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"piece [{pa[i]}, {pb[i]}) is empty or reversed")
+        bad = np.flatnonzero(pb[:-1] != pa[1:])
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"pieces must abut exactly: {pb[i]} != {pa[i + 1]}")
+        log = kind == 1.0
+        bad = np.flatnonzero(log & (sig != 1.0) & (sig != -1.0))
+        if bad.size:
+            raise DomainError(f"sigma must be +-1, got {sig[bad[0]]}")
+        # positivity on the open interval pins tau outside of it
+        bad = np.flatnonzero(log & np.where(sig > 0, ~(tau <= pa), ~(tau >= pb)))
+        if bad.size:
+            i = bad[0]
+            side = "left" if sig[i] > 0 else "right"
+            raise DomainError(f"tau = {tau[i]} must sit {side} of [{pa[i]}, {pb[i]})")
+        bad = np.flatnonzero(
+            (kind == 2.0) & ~((nb >= 2.0) & (nb == np.floor(nb)) & (c1 > 0.0) & np.isfinite(c1))
+        )
+        if bad.size:
+            raise DomainError(f"ladder needs an integer branching >= 2 and a finite step > 0, "
+                              f"got {nb[bad[0]]} and {c1[bad[0]]}")
+        kind = kind.astype(np.uint8)
+        for v in (kind, pa, pb, c0, c1, sig, tau, nb):
+            v.flags.writeable = False
         self._kind = kind
         self._pa, self._pb = pa, pb
         self._c0, self._c1 = c0, c1
         self._sig, self._tau = sig, tau
         self._nb = nb
-        self._bmo = {}
+        self.a = float(pa[0])
+        self.b = float(pb[-1])
+        self._memo = {}
+
+    @property
+    def pieces(self) -> tuple:
+        if self._pieces is None:
+            rows = zip(*(v.tolist() for v in (self._kind, self._pa, self._pb, self._c0,
+                                              self._c1, self._sig, self._tau, self._nb)))
+            self._pieces = tuple(
+                ConstPiece(a, b, c0) if k == 0
+                else LogPiece(a, b, c0, c1, sig, tau) if k == 1
+                else LadderPiece(a, b, c0, int(nb), c1)
+                for k, a, b, c0, c1, sig, tau, nb in rows
+            )
+        return self._pieces
 
     @property
     def domain(self):
@@ -164,10 +213,17 @@ class PiecewiseFn:
         return np.append(self._pa, self.b)
 
     def __len__(self):
-        return len(self.pieces)
+        return self._pa.size
 
     def __repr__(self):
-        return f"PiecewiseFn({len(self.pieces)} pieces on [{self.a}, {self.b}))"
+        return f"PiecewiseFn({len(self)} pieces on [{self.a}, {self.b}))"
+
+
+def _kept(f: PiecewiseFn, key, read):
+    """f's reading for key: read() on the first request, kept on f after it."""
+    if key not in f._memo:
+        f._memo[key] = read()
+    return f._memo[key]
 
 
 def evaluate(f: PiecewiseFn, t):
@@ -177,7 +233,7 @@ def evaluate(f: PiecewiseFn, t):
     arr = np.atleast_1d(arr)
     if np.any(arr < f.a) or np.any(arr > f.b):
         raise DomainError(f"argument outside the domain [{f.a}, {f.b}]")
-    idx = np.clip(np.searchsorted(f._pa, arr, side="right") - 1, 0, len(f.pieces) - 1)
+    idx = np.clip(np.searchsorted(f._pa, arr, side="right") - 1, 0, len(f) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = f._c0[idx] + f._c1[idx] * np.log(f._sig[idx] * (arr - f._tau[idx]))
     out = np.where(f._kind[idx] == 1, logs, f._c0[idx])
@@ -335,12 +391,12 @@ def _ladder_prefix(u, beta, n, h):
 
 
 def mean(f: PiecewiseFn) -> float:
-    i1, _ = _segment_integrals(f, f._pa, f._pb, np.arange(len(f.pieces)))
+    i1, _ = _segment_integrals(f, f._pa, f._pb, np.arange(len(f)))
     return float(np.sum(i1) / f.length)
 
 
 def second_moment(f: PiecewiseFn) -> float:
-    _, i2 = _segment_integrals(f, f._pa, f._pb, np.arange(len(f.pieces)))
+    _, i2 = _segment_integrals(f, f._pa, f._pb, np.arange(len(f)))
     return float(np.sum(i2) / f.length)
 
 
@@ -381,9 +437,13 @@ def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
 
 
 def moments(f: PiecewiseFn, q: float) -> float:
-    """Normalized absolute moment |I|^-1 integral_I |f|^q."""
+    """Normalized absolute moment |I|^-1 integral_I |f|^q, kept on f per exponent."""
     if not q >= 1:
         raise DomainError(f"moment exponent must be >= 1, got {q}")
+    return _kept(f, ("moments", q), lambda: _moment(f, q))
+
+
+def _moment(f: PiecewiseFn, q: float) -> float:
     kind, length = f._kind, f._pb - f._pa
     total = float(np.sum(np.abs(f._c0[kind == 0]) ** q * length[kind == 0]))
     logs = np.flatnonzero(kind == 1)
@@ -428,25 +488,51 @@ def distribution(f: PiecewiseFn, c: float) -> float:
     return total
 
 
-def _pair_scan(t, s1, s2, wmin):
-    """Largest window variance, at least 0, per column over node pairs t_i < t_j.
+def stray_outside(f: PiecewiseFn, lo: float, hi: float) -> float:
+    """Largest |f| on the pieces reaching below lo or above hi, 0 if none does.
 
-    t holds n sorted nodes and s1, s2 the (n, F) prefix integrals of F
-    functions at them, one per column; windows shorter than wmin are skipped.
+    A log or ladder piece counts as unbounded.
     """
-    n, cols = s1.shape
+    out = (f._pa < lo) | (f._pb > hi)
+    size = np.where(f._kind == 0, np.abs(f._c0), np.inf)
+    return float(np.max(size, where=out, initial=0.0))
+
+
+def _pair_scan(t, s1, s2, wmin):
+    """Largest window variance, at least 0, over node pairs t_i < t_j.
+
+    t holds n sorted nodes and s1, s2 the prefix integrals at them: 1-D for
+    one function, which gives a float, or (n, F) for F functions, one per
+    column, which gives one reading per column.  Windows shorter than wmin
+    are skipped.  Row i reads every window [t_i, t_j] in one pass, with
+    mu = (s1_j - s1_i)/w and v = (s2_j - s2_i)/w - mu^2, into buffers made
+    once per call; only a row whose first window is shorter than wmin
+    looks for the suffix of windows long enough.
+    """
+    n = t.size
+    cols = s1.shape[1:]
+    tw = t.reshape((n,) + (1,) * len(cols))
+    wbuf = np.empty((n - 1,) + (1,) * len(cols))
+    mbuf = np.empty((n - 1,) + cols)
+    vbuf = np.empty((n - 1,) + cols)
     best = np.zeros(cols)
-    for i in range(n - 1):
-        w = t[i + 1 :] - t[i]
-        # w rises with j, so the windows long enough are a suffix of the row
-        k = np.searchsorted(w, wmin)
-        if k == w.size:
-            continue
-        wc = w[k:, None]
-        mu = (s1[i + 1 + k :] - s1[i]) / wc
-        v = (s2[i + 1 + k :] - s2[i]) / wc - mu * mu
+    for i, short in enumerate((np.diff(t) < wmin).tolist()):
+        lo = i + 1
+        if short:
+            # w rises with j, so the windows long enough are a suffix of the row
+            lo += int(np.searchsorted(t[lo:] - t[i], wmin))
+            if lo == n:
+                continue
+        m = n - lo
+        w = np.subtract(tw[lo:], t[i], out=wbuf[:m])
+        mu = np.subtract(s1[lo:], s1[i], out=mbuf[:m])
+        np.divide(mu, w, out=mu)
+        v = np.subtract(s2[lo:], s2[i], out=vbuf[:m])
+        np.divide(v, w, out=v)
+        np.multiply(mu, mu, out=mu)
+        np.subtract(v, mu, out=v)
         np.fmax(best, v.max(axis=0), out=best)
-    return best
+    return float(best) if not cols else best
 
 
 def prefix_integrals(f: PiecewiseFn, t):
@@ -458,7 +544,7 @@ def prefix_integrals(f: PiecewiseFn, t):
         raise DomainError(f"prefix points outside the domain [{f.a}, {f.b}]")
     nodes = np.unique(np.concatenate([t, f.breakpoints()]))
     gl, gh = nodes[:-1], nodes[1:]
-    idx = np.clip(np.searchsorted(f._pa, gl, side="right") - 1, 0, len(f.pieces) - 1)
+    idx = np.clip(np.searchsorted(f._pa, gl, side="right") - 1, 0, len(f) - 1)
     i1, i2 = _segment_integrals(f, gl, gh, idx)
     s1 = np.concatenate([[0.0], np.cumsum(i1)])
     s2 = np.concatenate([[0.0], np.cumsum(i2)])
@@ -474,46 +560,38 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
     lower bound of the true seminorm, nondecreasing in levels.  A ladder
     piece adds only its two ends, so windows inside it are seen through the
     dyadic nodes alone; lay out enough ladder levels as log pieces.  The
-    scan is the stacked pair-scan kernel run on a single column.  The
-    reading is kept on f per levels, so later calls return it unscanned.
+    scan is the pair-scan kernel on one function's 1-D prefix integrals.
+    The reading is kept on f per levels, so later calls return it unscanned.
     """
     if not isinstance(levels, int) or not 1 <= levels <= 16:
         raise DomainError(f"levels must be an integer in [1, 16], got {levels}")
-    if levels not in f._bmo:
-        nodes = np.unique(
-            np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()])
-        )
-        s1, s2 = prefix_integrals(f, nodes)
-        best = _pair_scan(nodes, s1[:, None], s2[:, None], _MIN_WINDOW * f.length)[0]
-        f._bmo[levels] = math.sqrt(max(best, 0.0))
-    return f._bmo[levels]
+    return _kept(f, ("bmo", levels), lambda: _scan(f, levels))
+
+
+def _scan(f: PiecewiseFn, levels: int) -> float:
+    nodes = np.unique(np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()]))
+    s1, s2 = prefix_integrals(f, nodes)
+    return math.sqrt(max(_pair_scan(nodes, s1, s2, _MIN_WINDOW * f.length), 0.0))
 
 
 def transfer(f: PiecewiseFn, J) -> PiecewiseFn:
-    """Affine reparametrization onto the interval J; distribution is preserved."""
+    """Affine reparametrization onto the interval J; distribution is preserved.
+
+    Piece ends and log centres move by t -> j1 + (t - a) s with s = |J| / |I|,
+    the two outer ends pinned to J; a log piece absorbs the scale as
+    c0 - c1 ln s.
+    """
     j1, j2 = (float(v) for v in J)
     if not j2 > j1:
         raise DomainError(f"target interval [{j1}, {j2}] is degenerate")
     s = (j2 - j1) / f.length
-    i1 = f.a
-
-    def remap(t: float) -> float:
-        return j1 + (t - i1) * s
-
-    out = []
-    last = len(f.pieces) - 1
-    for i, pc in enumerate(f.pieces):
-        a = j1 if i == 0 else remap(pc.a)
-        b = j2 if i == last else remap(pc.b)
-        if isinstance(pc, ConstPiece):
-            out.append(ConstPiece(a, b, pc.v))
-        elif isinstance(pc, LadderPiece):
-            out.append(LadderPiece(a, b, pc.beta, pc.n, pc.h))
-        else:
-            out.append(
-                LogPiece(a, b, pc.c0 - pc.c1 * math.log(s), pc.c1, pc.sigma, remap(pc.tau))
-            )
-    return PiecewiseFn(out)
+    pa = j1 + (f._pa - f.a) * s
+    pb = j1 + (f._pb - f.a) * s
+    pa[0], pb[-1] = j1, j2
+    log = f._kind == 1
+    c0 = np.where(log, f._c0 - f._c1 * math.log(s), f._c0)
+    tau = np.where(log, j1 + (f._tau - f.a) * s, f._tau)
+    return PiecewiseFn.from_arrays(f._kind, pa, pb, c0, f._c1, f._sig, tau, f._nb)
 
 
 def optimizer_uplus(eps: float, u: float) -> PiecewiseFn:
@@ -593,28 +671,40 @@ def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:
     three dyadic nodes inside the support, and the worst windows start or
     end inside a ramp, where only a finer grid places nodes, so it
     under-reads h = 0.3 by 6.8e-3 and h = 0.1 by 1.2e-3.
+
+    Layout.  The levels are laid out one at a time as arrays: the cell
+    edges of every block of a level come from one linspace over the
+    blocks, the same values a cell-by-cell recursion gets, each ramp's
+    constant takes math.log of its half-cell, and the pieces are sorted by
+    their left ends at the end, so the result is bit for bit the
+    recursion's and no piece object is made.
     """
     if not (isinstance(depth, int) and depth >= 0):
         raise DomainError(f"depth must be a nonnegative integer, got {depth}")
     LadderPiece(0.0, 1.0, 0.0, n, h)  # validates n and h
-    pieces = [ConstPiece(-4.0, 0.25, 0.0)]
-
-    def lay(a, b, beta, left):
-        if left == 0:
-            pieces.append(LadderPiece(a, b, beta, n, h))
-            return
-        edges = np.linspace(a, b, n + 1)
-        for c0, c1 in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (c1 - c0)
-            mid = c0 + half
-            rho = -half * math.expm1(-h)
-            pieces.append(LogPiece(c0, c0 + rho, beta + math.log(half), -1.0, -1.0, mid))
-            lay(c0 + rho, c1 - rho, beta + h, left - 1)
-            pieces.append(LogPiece(c1 - rho, c1, beta + math.log(half), -1.0, 1.0, mid))
-
-    lay(0.25, 0.75, 0.0, depth)
-    pieces.append(ConstPiece(0.75, 5.0, 0.0))
-    return PiecewiseFn(pieces)
+    # the blocks of a level, their cells, and for each cell a rising and a
+    # falling ramp around the next level's block
+    a, b, beta = np.array([0.25]), np.array([0.75]), 0.0
+    fields = []  # (kind, pa, pb, c0, c1, sig, tau, nb) per group of pieces
+    for _ in range(depth):
+        edges = np.linspace(a, b, n + 1, axis=1)
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        rho = -half * math.expm1(-h)
+        # math.log, not np.log, which differs from it in the last bit on some doubles
+        c0 = beta + np.array(list(map(math.log, half.tolist())))
+        one, zero = np.ones(lo.size), np.zeros(lo.size)
+        fields.append((one, lo, lo + rho, c0, -one, -one, mid, zero))  # rising ramps
+        fields.append((one, hi - rho, hi, c0, -one, one, mid, zero))  # falling ramps
+        a, b, beta = lo + rho, hi - rho, beta + h
+    one, zero = np.ones(a.size), np.zeros(a.size)
+    fields.append((2 * one, a, b, beta * one, h * one, one, zero, n * one))  # ladder blocks
+    # zero on [-4, 1/4) and on [3/4, 5)
+    fields.append(([0, 0], [-4.0, 0.75], [0.25, 5.0], [0, 0], [0, 0], [1, 1], [0, 0], [0, 0]))
+    cols = [np.concatenate(col) for col in zip(*fields)]
+    order = np.argsort(cols[1], kind="stable")
+    return PiecewiseFn.from_arrays(*(col[order] for col in cols))
 
 
 def _step_fn(vals) -> PiecewiseFn:

@@ -350,8 +350,9 @@ def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6)
     """Measured line-inequality quantities for a compactly supported model.
 
     delta is not used; it stays so that positional callers keep working.
-    bmo_norm keeps its reading on psi, so further (p, r) pairs on the same
-    psi and levels reuse one pair scan.
+    bmo_norm and moments keep their readings on psi, so further (p, r)
+    pairs on the same psi and levels reuse one pair scan and integrate each
+    distinct exponent once.
     """
     length = psi.length
     int_p = testfn.moments(psi, p) * length
@@ -359,11 +360,7 @@ def transference_metrics(psi, p: float, r: float, delta: float, levels: int = 6)
     if not int_p > 0.0:
         raise DomainError("degenerate input: the function vanishes identically")
     # support: every piece reaching outside the unit interval must be flat zero
-    stray = 0.0
-    for piece in psi.pieces:
-        if piece.a < 0.0 or piece.b > 1.0:
-            v = abs(piece.v) if isinstance(piece, testfn.ConstPiece) else math.inf
-            stray = max(stray, v)
+    stray = testfn.stray_outside(psi, 0.0, 1.0)
     b = testfn.bmo_norm(psi, levels)
     ratio = int_r ** (1.0 / r) / (int_p ** (1.0 / r) * b ** (1.0 - p / r))
     return {

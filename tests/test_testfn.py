@@ -51,6 +51,18 @@ def mixed_fn():
     )
 
 
+FIELDS = ("_kind", "_pa", "_pb", "_c0", "_c1", "_sig", "_tau", "_nb")
+
+
+def field_bytes(f):
+    """The eight field arrays of f, as bytes for a bit-for-bit comparison."""
+    return [getattr(f, k).tobytes() for k in FIELDS]
+
+
+def field_arrays(f):
+    return [np.array(getattr(f, k)) for k in FIELDS]
+
+
 # -------------------------------------------------------------- construction
 
 
@@ -63,6 +75,41 @@ def test_pieces_must_tile_an_interval():
         PiecewiseFn([ConstPiece(0, 1, 1.0), ConstPiece(0.5, 2, 1.0)])  # overlap
     with pytest.raises(DomainError):
         PiecewiseFn([ConstPiece(1.0, 1.0, 0.5)])  # empty piece
+
+
+def forged(pc, **fields):
+    """pc with fields overwritten past its own validation."""
+    for k, v in fields.items():
+        object.__setattr__(pc, k, v)
+    return pc
+
+
+def test_both_constructors_share_one_validator():
+    good = [ConstPiece(0.0, 0.5, 1.0), LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.3)]
+    assert field_bytes(PiecewiseFn.from_arrays(*field_arrays(PiecewiseFn(good)))) == field_bytes(
+        PiecewiseFn(good)
+    )
+    # row 1 of each case is broken: a gap, a reversed piece, a bad sigma, tau inside
+    cases = {
+        "gap": (ConstPiece(0.6, 1.0, 1.0), "_pa", 0.6),
+        "reversed": (ConstPiece(0.5, 0.4, 1.0), "_pb", 0.4),
+        "sigma": (forged(LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.3), sigma=0.5), "_sig", 0.5),
+        "tau": (forged(LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.3), tau=0.7), "_tau", 0.7),
+    }
+    for bad, key, value in cases.values():
+        with pytest.raises(DomainError):
+            PiecewiseFn([good[0], bad])
+        cols = field_arrays(PiecewiseFn(good))
+        cols[FIELDS.index(key)][1] = value
+        with pytest.raises(DomainError):
+            PiecewiseFn.from_arrays(*cols)
+    # a falling log piece keeps tau on its right
+    cols = field_arrays(PiecewiseFn(good))
+    cols[FIELDS.index("_sig")][1] = -1.0
+    with pytest.raises(DomainError):
+        PiecewiseFn.from_arrays(*cols)
+    with pytest.raises(DomainError):
+        PiecewiseFn.from_arrays(*[c[:0] for c in field_arrays(PiecewiseFn(good))])
 
 
 def test_log_piece_argument_must_stay_positive():
@@ -213,8 +260,12 @@ def test_pair_scan_matches_the_double_loop():
     assert testfn._pair_scan(t, s1, s2, wmin).tolist() == want
     for k in range(len(fns)):
         assert testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin)[0] == want[k]
+        # one function's 1-D prefix integrals give its reading as a float
+        one = testfn._pair_scan(t, s1[:, k].copy(), s2[:, k].copy(), wmin)
+        assert type(one) is float and one == want[k]
     # wider than every window: nothing qualifies and the scan reads 0
     assert testfn._pair_scan(t, s1, s2, 2.0).tolist() == [0.0] * len(fns)
+    assert testfn._pair_scan(t, s1[:, 0].copy(), s2[:, 0].copy(), 2.0) == 0.0
 
 
 def test_pair_scan_of_phi0_matches_the_double_loop():
@@ -275,6 +326,33 @@ def test_transference_metrics_scans_a_function_once(monkeypatch):
     assert fresh == got
 
 
+def test_transference_metrics_integrates_an_exponent_once(monkeypatch):
+    # a depth-5 ladder has log and ladder pieces: two integral calls per exponent
+    calls = []
+    integrate = testfn._abs_affine_exp
+
+    def counted(*args):
+        calls.append(args[0])
+        return integrate(*args)
+
+    monkeypatch.setattr(testfn, "_abs_affine_exp", counted)
+    psi = build_ladder(4, 0.1, 5)
+    pairs = ((1.0, 3.0), (1.0, 2.5), (2.5, 4.0), (1.5, 3.0))
+    got = [transference_metrics(psi, p, r, 0.05) for p, r in pairs]
+    assert sorted(set(calls)) == [1.0, 1.5, 2.5, 3.0, 4.0]
+    assert len(calls) == 2 * 5
+    # a fresh ladder per pair integrates both exponents of every pair
+    fresh = [transference_metrics(build_ladder(4, 0.1, 5), p, r, 0.05) for p, r in pairs]
+    assert len(calls) == 2 * 5 + 2 * 8
+    assert fresh == got
+    assert [moments(psi, q) for q in (4.0, 1.0)] == [
+        moments(build_ladder(4, 0.1, 5), q) for q in (4.0, 1.0)
+    ]
+    assert len(calls) == 2 * 5 + 2 * 8 + 2 * 2
+    with pytest.raises(DomainError):
+        moments(psi, 0.5)
+
+
 def test_transfer_gets_its_own_reading(monkeypatch):
     calls = count_scans(monkeypatch)
     f = mixed_fn()
@@ -295,6 +373,39 @@ def test_transfer_preserves_moments_and_oscillation():
         assert moments(g, q) == pytest.approx(moments(f, q), rel=1e-12)
     assert mean(g) == pytest.approx(mean(f), rel=1e-12)
     assert bmo_norm(g, 5) == pytest.approx(bmo_norm(f, 5), rel=1e-10)
+
+
+def transfer_reference(f, J):
+    """transfer piece by piece: every end remapped, the two outer ends pinned to J."""
+    j1, j2 = J
+    s = (j2 - j1) / f.length
+
+    def remap(t):
+        return j1 + (t - f.a) * s
+
+    out = []
+    last = len(f.pieces) - 1
+    for i, pc in enumerate(f.pieces):
+        a = j1 if i == 0 else remap(pc.a)
+        b = j2 if i == last else remap(pc.b)
+        if isinstance(pc, ConstPiece):
+            out.append(ConstPiece(a, b, pc.v))
+        elif isinstance(pc, LadderPiece):
+            out.append(LadderPiece(a, b, pc.beta, pc.n, pc.h))
+        else:
+            out.append(LogPiece(a, b, pc.c0 - pc.c1 * math.log(s), pc.c1, pc.sigma, remap(pc.tau)))
+    return PiecewiseFn(out)
+
+
+def test_transfer_matches_the_per_piece_route():
+    steps = testfn._step_fn([0.3, -1.1, 2.0, 0.7, -0.4])
+    for f in (optimizer_phi0(), steps, build_ladder(4, 0.1, 3)):
+        # remapping the ladder's right end 5.0 onto (1.4, 4.2) misses 4.2 by
+        # rounding, so that end must be pinned
+        for J in ((2.0, 2.5), (1.4, 4.2)):
+            g = transfer(f, J)
+            assert g.domain == J
+            assert field_bytes(g) == field_bytes(transfer_reference(f, J))
 
 
 def test_seam_glued_copies_are_not_in_bmo():
@@ -320,6 +431,58 @@ def test_seam_glued_copies_are_not_in_bmo():
 
 
 # --------------------------------------------------------- exponential ladder
+
+
+def ladder_reference(n, h, depth):
+    """build_ladder as a recursion that lays out one cell at a time."""
+    pieces = [ConstPiece(-4.0, 0.25, 0.0)]
+
+    def lay(a, b, beta, left):
+        if left == 0:
+            pieces.append(LadderPiece(a, b, beta, n, h))
+            return
+        edges = np.linspace(a, b, n + 1)
+        for c0, c1 in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (c1 - c0)
+            mid = c0 + half
+            rho = -half * math.expm1(-h)
+            pieces.append(LogPiece(c0, c0 + rho, beta + math.log(half), -1.0, -1.0, mid))
+            lay(c0 + rho, c1 - rho, beta + h, left - 1)
+            pieces.append(LogPiece(c1 - rho, c1, beta + math.log(half), -1.0, 1.0, mid))
+
+    lay(0.25, 0.75, 0.0, depth)
+    pieces.append(ConstPiece(0.75, 5.0, 0.0))
+    return PiecewiseFn(pieces)
+
+
+# the rows of build_ladder's docstring table, depths 0 and 1, and steps moved
+# by up to 2%; at the last step np.log and math.log differ on 56 half-cells
+LADDER_CASES = (
+    (4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3),
+    (4, 0.1, 0), (4, 0.1, 1), (4, 0.1 * 1.02, 5), (3, 0.5 * 0.98, 4), (4, 0.09924732580804195, 5),
+)
+
+
+def test_build_ladder_matches_the_recursion():
+    for n, h, depth in LADDER_CASES:
+        psi = build_ladder(n, h, depth)
+        want = ladder_reference(n, h, depth)
+        assert field_bytes(psi) == field_bytes(want)
+        assert psi.domain == want.domain == (-4.0, 5.0)
+        assert len(psi) == len(want) == 2 + 2 * sum(n**k for k in range(1, depth + 1)) + n**depth
+
+
+def test_pieces_reproduce_the_arrays():
+    psi = build_ladder(3, 0.2, 2)
+    # the hot path reads the arrays; the piece objects are made on request
+    transference_metrics(psi, 1.0, 3.0, 0.05)
+    evaluate(psi, np.linspace(-4.0, 5.0, 9))
+    mean(psi), second_moment(psi), repr(psi), len(psi)
+    assert psi._pieces is None
+    assert psi.pieces is psi.pieces
+    assert field_bytes(PiecewiseFn(psi.pieces)) == field_bytes(psi)
+    assert field_bytes(PiecewiseFn(ladder_reference(3, 0.2, 2).pieces)) == field_bytes(psi)
+    assert psi.pieces == ladder_reference(3, 0.2, 2).pieces
 
 
 def test_ladder_guards():
