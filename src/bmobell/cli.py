@@ -9,13 +9,14 @@ failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 from . import testfn, verify
 from .bellman import leaf_regions, leaf_value, solve_u_batch
-from .domain import Params, envelope_batch
+from .domain import Params, Regime, envelope_batch
 from .errors import BmoBellError
 
 
@@ -44,8 +45,6 @@ def _cmd_eval(args) -> int:
         return 2
     _, got, region = _leaves(_params(args), np.array([x]))
     if args.format == "json":
-        import json
-
         print(json.dumps({"x": list(x), "region": region[0].value, "value": float(got[0])}))
     else:
         print(_fmt(got[0]))
@@ -61,7 +60,10 @@ def _parse_grid(spec: str):
     # x2lo:x2hi:n,x3n
     rng, _, x3n = spec.partition(",")
     lo, hi, n = rng.split(":")
-    return float(lo), float(hi), int(n), int(x3n if x3n else n)
+    counts = int(n), int(x3n if x3n else n)
+    if min(counts) < 0:
+        raise ValueError(f"negative count in {spec!r}")
+    return float(lo), float(hi), *counts
 
 
 def _cmd_scan(args) -> int:
@@ -97,8 +99,6 @@ def _cmd_scan(args) -> int:
         k += n3
     out = "\n".join(rows)
     if args.format == "json":
-        import json
-
         header, *body = [r.split(",") for r in rows]
         print(json.dumps([dict(zip(header, b)) for b in body]))
     else:
@@ -203,8 +203,6 @@ def _check_regime(args) -> None:
     # silently evaluating whatever the exponents imply
     if getattr(args, "min", False):
         params = Params(args.p, args.r, args.eps)
-        from .domain import Regime
-
         if params.regime is not Regime.MIN:
             raise BmoBellError(
                 f"--min given, but exponents ({args.p}, {args.r}) sit in the {params.regime.value} regime"

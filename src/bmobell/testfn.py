@@ -8,7 +8,8 @@ substitution z = -ln w, to exponential-weight integrals of |affine|^q
 which are evaluated by incomplete-gamma differences on the side where the
 weight decays and by specfn.rise_integral on the other side.  A ladder piece
 has the law beta + Exp(1), so its whole-piece integrals are closed forms
-too, and its partial integrals recurse through its cells.
+too, and its partial integrals and values come from one walk through its
+cells.  Pieces are plain records, checked when they form a PiecewiseFn.
 
 The oscillation seminorm is computed on a dyadic grid refined by every
 piece breakpoint: prefix integrals at grid nodes are exact, so the scan
@@ -60,15 +61,6 @@ class LogPiece:
     sigma: float
     tau: float
 
-    def __post_init__(self):
-        if self.sigma not in (1.0, -1.0, 1, -1):
-            raise DomainError(f"sigma must be +-1, got {self.sigma}")
-        # positivity on the open interval pins tau outside of it
-        if self.sigma > 0 and not self.tau <= self.a:
-            raise DomainError(f"tau = {self.tau} must sit left of [{self.a}, {self.b})")
-        if self.sigma < 0 and not self.tau >= self.b:
-            raise DomainError(f"tau = {self.tau} must sit right of [{self.a}, {self.b})")
-
 
 @dataclass(frozen=True)
 class LadderPiece:
@@ -81,7 +73,8 @@ class LadderPiece:
     length e^-h c that holds h plus a copy of the whole unit ladder.  The
     memoryless property of Exp(1) makes the law of the piece exactly
     beta + Exp(1), and the function is continuous up to the null set of
-    nested cell centers, where it is infinite.
+    nested cell centers, where it is infinite.  n >= 2 and a finite h > 0
+    are checked when the piece forms a PiecewiseFn.
     """
 
     a: float
@@ -89,12 +82,6 @@ class LadderPiece:
     beta: float
     n: int
     h: float
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise DomainError(f"ladder branching must be an integer >= 2, got {self.n}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise DomainError(f"ladder step must be positive and finite, got {self.h}")
 
 
 class PiecewiseFn:
@@ -105,9 +92,9 @@ class PiecewiseFn:
     constant keeps its value in _c0; a log piece keeps c0, c1, sigma and
     tau; a ladder piece keeps beta in _c0, the step h in _c1 and the
     branching in _nb.  Unused fields read c1 = 0, sigma = 1, tau = 0 and
-    n = 0.  PiecewiseFn(pieces) and from_arrays validate through the same
-    check, and the piece objects are built from the arrays on first access
-    to pieces.
+    n = 0.  Pieces are checked when they form a function, by _set, which
+    both PiecewiseFn(pieces) and from_arrays go through; the piece objects
+    are built from the arrays on first access to pieces.
 
     Readings that depend only on the function, such as bmo_norm per levels
     and moments per exponent, are kept in _memo, keyed by what was read, and
@@ -142,40 +129,40 @@ class PiecewiseFn:
         return f
 
     def _set(self, kind, pa, pb, c0, c1, sig, tau, nb):
-        """Validate the eight field arrays and take copies of them, read-only."""
+        """Check the eight field arrays and take copies of them, read-only.
+
+        This is the one check on piece fields.  A field its kind does not use
+        is set to its default.  The ladder check runs before the checks on
+        the ends, so a bad step is named rather than the empty ramp it makes.
+        """
         cols = [np.array(v, dtype=float) for v in (kind, pa, pb, c0, c1, sig, tau, nb)]
         if cols[0].ndim != 1 or any(v.shape != cols[0].shape for v in cols):
             raise DomainError("piece fields must be one-dimensional arrays of one length")
         kind, pa, pb, c0, c1, sig, tau, nb = cols
         if not kind.size:
             raise DomainError("a piecewise function needs at least one piece")
-        bad = np.flatnonzero(~np.isin(kind, (0.0, 1.0, 2.0)))
-        if bad.size:
-            raise DomainError(f"unsupported piece kind {kind[bad[0]]}")
-        bad = np.flatnonzero(~(pb > pa))
-        if bad.size:
-            i = bad[0]
-            raise DomainError(f"piece [{pa[i]}, {pb[i]}) is empty or reversed")
-        bad = np.flatnonzero(pb[:-1] != pa[1:])
-        if bad.size:
-            i = bad[0]
-            raise DomainError(f"pieces must abut exactly: {pb[i]} != {pa[i + 1]}")
-        log = kind == 1.0
-        bad = np.flatnonzero(log & (sig != 1.0) & (sig != -1.0))
-        if bad.size:
-            raise DomainError(f"sigma must be +-1, got {sig[bad[0]]}")
-        # positivity on the open interval pins tau outside of it
-        bad = np.flatnonzero(log & np.where(sig > 0, ~(tau <= pa), ~(tau >= pb)))
-        if bad.size:
-            i = bad[0]
-            side = "left" if sig[i] > 0 else "right"
-            raise DomainError(f"tau = {tau[i]} must sit {side} of [{pa[i]}, {pb[i]})")
-        bad = np.flatnonzero(
-            (kind == 2.0) & ~((nb >= 2.0) & (nb == np.floor(nb)) & (c1 > 0.0) & np.isfinite(c1))
+        log, lad = kind == 1.0, kind == 2.0
+        c1[kind == 0.0], sig[~log], tau[~log], nb[~lad] = 0.0, 1.0, 0.0, 0.0
+        checks = (
+            (~np.isin(kind, (0.0, 1.0, 2.0)), lambda i: f"unsupported piece kind {kind[i]}"),
+            (lad & ~((nb >= 2.0) & (nb == np.floor(nb)) & (c1 > 0.0) & np.isfinite(c1)),
+             lambda i: f"ladder needs an integer branching >= 2 and a finite step > 0, "
+                       f"got {nb[i]} and {c1[i]}"),
+            # one field at a time: a stacked copy of the fields would add to peak memory
+            (~np.logical_and.reduce([np.isfinite(v) for v in (pa, pb, c0, c1, tau, nb)]),
+             lambda i: f"piece {i} has a non-finite end, c0, c1, tau or branching"),
+            (~(pb > pa), lambda i: f"piece [{pa[i]}, {pb[i]}) is empty or reversed"),
+            (np.append(pb[:-1] != pa[1:], False),
+             lambda i: f"pieces must abut exactly: {pb[i]} != {pa[i + 1]}"),
+            (log & (sig != 1.0) & (sig != -1.0), lambda i: f"sigma must be +-1, got {sig[i]}"),
+            # positivity on the open interval pins tau outside of it
+            (log & np.where(sig > 0, ~(tau <= pa), ~(tau >= pb)),
+             lambda i: f"tau = {tau[i]} must sit {'left' if sig[i] > 0 else 'right'} "
+                       f"of [{pa[i]}, {pb[i]})"),
         )
-        if bad.size:
-            raise DomainError(f"ladder needs an integer branching >= 2 and a finite step > 0, "
-                              f"got {nb[bad[0]]} and {c1[bad[0]]}")
+        for bad, message in checks:
+            if bad.any():
+                raise DomainError(message(int(np.argmax(bad))))
         kind = kind.astype(np.uint8)
         for v in (kind, pa, pb, c0, c1, sig, tau, nb):
             v.flags.writeable = False
@@ -241,40 +228,8 @@ def evaluate(f: PiecewiseFn, t):
     if lad.size:
         li = idx[lad]
         u = (arr[lad] - f._pa[li]) / (f._pb[li] - f._pa[li])
-        out[lad] += _ladder_value(u, f._nb[li], f._c1[li])
+        out[lad] = _ladder_walk(u, f._c0[li], f._nb[li], f._c1[li])[0]
     return float(out[0]) if scalar else out
-
-
-# relative block length below which a ladder is not resolved any further:
-# a double cannot place a point inside such a block, and a partial integral
-# over it is charged at the block mean
-_LADDER_RES = 2.0 ** -52
-
-
-def _ladder_value(u, n, h):
-    """Unit ladder at u in [0, 1], elementwise; unresolved blocks read their mean."""
-    u, n, h = (np.array(v, dtype=float) for v in (u, n, h))
-    out = np.zeros_like(u)
-    scale = np.ones_like(u)
-    live = np.arange(u.size)
-    while live.size:
-        uu, nn, hh = u[live], n[live], h[live]
-        k = np.minimum(np.floor(uu * nn), nn - 1.0)
-        s = uu * nn - k
-        ramp = 0.5 * -np.expm1(-hh)
-        rise, fall = s < ramp, s >= 1.0 - ramp
-        with np.errstate(divide="ignore"):
-            out[live[rise]] -= np.log1p(-2.0 * s[rise])
-            out[live[fall]] -= np.log(2.0 * s[fall] - 1.0)
-        inner = ~(rise | fall)
-        live = live[inner]
-        out[live] += h[live]
-        u[live] = (s[inner] - ramp[inner]) * np.exp(h[live])
-        scale[live] *= np.exp(-h[live]) / n[live]
-        deep = scale[live] < _LADDER_RES
-        out[live[deep]] += 1.0
-        live = live[~deep]
-    return out
 
 
 def _xlnx(w: np.ndarray) -> np.ndarray:
@@ -321,8 +276,8 @@ def _segment_integrals(f: PiecewiseFn, lo_t: np.ndarray, hi_t: np.ndarray, idx: 
         li = idx[lad]
         pa, ell = f._pa[li], f._pb[li] - f._pa[li]
         beta, n, h = f._c0[li], f._nb[li], f._c1[li]
-        g1a, g2a = _ladder_prefix((lo_t[lad] - pa) / ell, beta, n, h)
-        g1b, g2b = _ladder_prefix((hi_t[lad] - pa) / ell, beta, n, h)
+        _, g1a, g2a = _ladder_walk((lo_t[lad] - pa) / ell, beta, n, h)
+        _, g1b, g2b = _ladder_walk((hi_t[lad] - pa) / ell, beta, n, h)
         i1[lad] = ell * (g1b - g1a)
         i2[lad] = ell * (g2b - g2a)
     return i1, i2
@@ -334,17 +289,24 @@ def _ramp_integrals(x):
     return 0.5 * (1.0 - w + _xlnx(w)), 0.5 * (2.0 - 2.0 * w + 2.0 * _xlnx(w) - _xln2x(w))
 
 
-def _ladder_prefix(u, beta, n, h):
-    """(integral_0^u g, integral_0^u g^2) for g = beta + the unit ladder, elementwise.
+# relative block length below which a ladder is not resolved any further:
+# a double cannot place a point inside such a block, and a partial integral
+# over it is charged, and a value in it read, at the block mean
+_LADDER_RES = 2.0 ** -52
+
+
+def _ladder_walk(u, beta, n, h):
+    """(g(u), integral_0^u g, integral_0^u g^2) for g = beta + the unit ladder, elementwise.
 
     Whole cells contribute the moments of beta + Exp(1); the cell holding u
     adds its ramps in closed form and recurses into its block, which sits
-    one step h higher.  Once the block is shorter than _LADDER_RES of the
-    piece, the remainder is charged at the block mean.
+    one step h higher, and g(u) is read on the ramp where the walk stops.
+    Once the block is shorter than _LADDER_RES of the piece, the remainder
+    is charged at the block mean, and g(u) reads that mean.
     """
     u, beta, n, h = (np.array(v, dtype=float) for v in (u, beta, n, h))
     u = np.clip(u, 0.0, 1.0)
-    s1, s2 = np.zeros_like(u), np.zeros_like(u)
+    g, s1, s2 = beta.copy(), np.zeros_like(u), np.zeros_like(u)
     whole = u == 1.0
     s1[whole] = beta[whole] + 1.0
     s2[whole] = beta[whole] * (beta[whole] + 2.0) + 2.0
@@ -363,6 +325,8 @@ def _ladder_prefix(u, beta, n, h):
         t1 += (b * x + r1) / nn
         t2 += (b * b * x + 2.0 * b * r1 + r2) / nn
         fall = s >= 1.0 - ramp
+        g[live] = b - np.log1p(-2.0 * x)
+        g[live[fall]] = b[fall] - np.log(2.0 * s[fall] - 1.0)
         if np.any(fall):
             bf, hf, kf = b[fall], hh[fall], keep[fall]
             top = bf + hf
@@ -384,10 +348,11 @@ def _ladder_prefix(u, beta, n, h):
         if np.any(deep):
             dl = live[deep]
             m = beta[dl]
+            g[dl] = m + 1.0
             s1[dl] += scale[dl] * u[dl] * (m + 1.0)
             s2[dl] += scale[dl] * u[dl] * (m * (m + 2.0) + 2.0)
             live = live[~deep]
-    return s1, s2
+    return g, s1, s2
 
 
 def mean(f: PiecewiseFn) -> float:
@@ -609,7 +574,10 @@ def optimizer_uminus(eps: float, u: float) -> PiecewiseFn:
         raise DomainError(f"eps must be positive, got {eps}")
     if not u >= eps:
         raise DomainError(f"u = {u} must be >= eps = {eps}")
-    top = math.exp((u - eps) / eps)
+    try:
+        top = math.exp((u - eps) / eps)
+    except OverflowError:
+        top = math.inf  # an end PiecewiseFn rejects
     pieces = [ConstPiece(0.0, 0.5, -float(eps)), ConstPiece(0.5, 1.0, float(eps))]
     if top > 1.0:
         pieces.append(LogPiece(1.0, top, float(eps), float(eps), 1.0, 0.0))
@@ -681,7 +649,10 @@ def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:
     """
     if not (isinstance(depth, int) and depth >= 0):
         raise DomainError(f"depth must be a nonnegative integer, got {depth}")
-    LadderPiece(0.0, 1.0, 0.0, n, h)  # validates n and h
+    # np.linspace takes an integer cell count; with at least one cell every
+    # level keeps a block, and PiecewiseFn checks n and h on the ladder pieces
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"ladder branching must be an integer >= 2, got {n}")
     # the blocks of a level, their cells, and for each cell a rising and a
     # falling ramp around the next level's block
     a, b, beta = np.array([0.25]), np.array([0.75]), 0.0
@@ -755,37 +726,38 @@ def random_step_fn(seed: int, cells: int, eps: float) -> PiecewiseFn:
     return _step_fn(random_step_values([seed], cells, eps)[0])
 
 
+_CSV_HEADER = "kind,a,b,c0,c1,sigma,tau"
+
+# the name of piece kind i in a CSV row; a ladder piece (kind 2) has no row
+_CSV_KINDS = ("const", "log")
+
+
 def to_csv(f: PiecewiseFn) -> str:
     """Serialize as kind,a,b,c0,c1,sigma,tau rows; constants carry v in c0.
 
     Ladder pieces have no row in this format and raise DomainError.
     """
-    lines = ["kind,a,b,c0,c1,sigma,tau"]
-    for pc in f.pieces:
-        if isinstance(pc, ConstPiece):
-            row = ("const", pc.a, pc.b, pc.v, 0.0, 1.0, 0.0)
-        elif isinstance(pc, LadderPiece):
-            raise DomainError("ladder pieces have no kind,a,b,c0,c1,sigma,tau row")
-        else:
-            row = ("log", pc.a, pc.b, pc.c0, pc.c1, pc.sigma, pc.tau)
-        lines.append(row[0] + "," + ",".join(format(v, ".17g") for v in row[1:]))
-    return "\n".join(lines) + "\n"
+    if np.any(f._kind == 2):
+        raise DomainError(f"ladder pieces have no {_CSV_HEADER} row")
+    rows = zip(*(v.tolist() for v in (f._kind, f._pa, f._pb, f._c0, f._c1, f._sig, f._tau)))
+    lines = [_CSV_KINDS[k] + "," + ",".join(format(v, ".17g") for v in row) for k, *row in rows]
+    return "\n".join([_CSV_HEADER, *lines]) + "\n"
 
 
 def from_csv(text: str) -> PiecewiseFn:
+    """The function of to_csv's rows; a constant row's c1, sigma and tau are ignored."""
     rows = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not rows or rows[0] != "kind,a,b,c0,c1,sigma,tau":
-        raise DomainError("missing piece header kind,a,b,c0,c1,sigma,tau")
-    pieces = []
+    if not rows or rows[0] != _CSV_HEADER:
+        raise DomainError(f"missing piece header {_CSV_HEADER}")
+    fields = []
     for ln in rows[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
+        kind, *nums = ln.split(",")
+        if len(nums) != 6:
             raise DomainError(f"malformed piece row: {ln!r}")
-        kind, nums = parts[0], [float(v) for v in parts[1:]]
-        if kind == "const":
-            pieces.append(ConstPiece(nums[0], nums[1], nums[2]))
-        elif kind == "log":
-            pieces.append(LogPiece(*nums))
-        else:
+        if kind not in _CSV_KINDS:
             raise DomainError(f"unknown piece kind {kind!r}")
-    return PiecewiseFn(pieces)
+        try:
+            fields.append([_CSV_KINDS.index(kind), *map(float, nums), 0.0])
+        except ValueError:
+            raise DomainError(f"non-numeric field in piece row: {ln!r}") from None
+    return PiecewiseFn.from_arrays(*np.array(fields, dtype=float).reshape(-1, 8).T)

@@ -153,6 +153,8 @@ def check_concavity(params: Params, n_samples: int, seed: int) -> VerifyReport:
     """
     if params.regime is Regime.DEGENERATE:
         raise DomainError("curvature check needs a non-degenerate exponent pair")
+    if int(n_samples) < 1:
+        raise DomainError(f"curvature check needs at least one sample, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     pts = _interior_samples(params, int(n_samples), rng)
     eigs = np.linalg.eigvalsh(hessian_leaf_batch(params, pts))
@@ -176,6 +178,8 @@ def check_c1_glue(params: Params, n_samples: int) -> VerifyReport:
     p, r, eps = params.p, params.r, params.eps
     rng = np.random.Generator(np.random.Philox(29))
     n = int(n_samples)
+    if n < 1:
+        raise DomainError(f"C1 check needs at least one sample, got {n_samples}")
     side = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
     # the interface plane exists only over x2 >= max(eps^2, 4*eps*|x1| - 3*eps^2),
     # and that band pinches off against the strip top past |x1| ~ 1.68*eps
@@ -221,6 +225,8 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
     """
     if params.regime is Regime.DEGENERATE:
         raise DomainError("oracle needs a non-degenerate exponent pair")
+    if int(n_fns) < 1:
+        raise DomainError(f"oracle needs at least one function, got {n_fns}")
     p, r, eps = params.p, params.r, params.eps
     seeds = np.random.SeedSequence(seed).generate_state(int(n_fns), dtype=np.uint64)
     vals = testfn.random_step_values([int(s) for s in seeds], cells, eps)

@@ -219,6 +219,9 @@ def test_eval_and_point_suites_make_one_batch_call(capsys, monkeypatch):
 def test_scan_grid_parse_errors(capsys):
     assert run(["scan", "--p", "1", "--r", "3", "--grid", "1:2"], capsys)[0] == 2
     assert run(["scan", "--p", "1", "--r", "3", "--grid", "a:b:c,d"], capsys)[0] == 2
+    for grid in ("0:1:-1", "0:1:3,-2"):
+        code, out, err = run(["scan", "--p", "1", "--r", "3", "--grid", grid], capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 # -------------------------------------------------------------------- verify
@@ -262,6 +265,14 @@ def test_removed_seam_options_are_usage_errors(capsys):
     assert run(["verify", "--suite", "transference", "--p", "1", "--r", "3", "--lambda", "0.9"], capsys)[0] == 2
 
 
+def test_verify_sample_counts_below_one_exit_two(capsys):
+    for suite, samples in (("concavity", "0"), ("oracle", "0"), ("c1", "-3")):
+        code, out, err = run(
+            ["verify", "--suite", suite, "--p", "1", "--r", "3", "--samples", samples], capsys
+        )
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_verify_unknown_suite_exits_two(capsys):
     assert run(
         ["verify", "--suite", "nonsense", "--p", "1", "--r", "3"], capsys
@@ -300,6 +311,17 @@ def test_bmo_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     code, out2, _ = run(["bmo", "--levels", "8"], capsys)
     assert code == 0
     assert out2 == out
+
+
+def test_bmo_rejects_bad_piece_rows(tmp_path, capsys):
+    # a non-numeric field, and an infinite end, c0 or tau
+    rows = ("const,0,x,1,0,1,0", "const,0,inf,1,0,1,0", "const,0,1,inf,0,1,0",
+            "log,0.5,1,0,1,1,-inf")
+    for i, row in enumerate(rows):
+        path = tmp_path / f"fn{i}.csv"
+        path.write_text("kind,a,b,c0,c1,sigma,tau\n" + row + "\n")
+        code, out, err = run(["bmo", "--fn", str(path), "--levels", "6"], capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_bmo_missing_file(capsys):

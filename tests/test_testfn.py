@@ -77,24 +77,23 @@ def test_pieces_must_tile_an_interval():
         PiecewiseFn([ConstPiece(1.0, 1.0, 0.5)])  # empty piece
 
 
-def forged(pc, **fields):
-    """pc with fields overwritten past its own validation."""
-    for k, v in fields.items():
-        object.__setattr__(pc, k, v)
-    return pc
-
-
 def test_both_constructors_share_one_validator():
     good = [ConstPiece(0.0, 0.5, 1.0), LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.3)]
     assert field_bytes(PiecewiseFn.from_arrays(*field_arrays(PiecewiseFn(good)))) == field_bytes(
         PiecewiseFn(good)
     )
-    # row 1 of each case is broken: a gap, a reversed piece, a bad sigma, tau inside
+    # row 1 of each case is broken: a gap, a reversed piece, a bad sigma, tau
+    # inside, and a non-finite end, c0, c1 or tau
+    inf, nan = math.inf, math.nan
     cases = {
         "gap": (ConstPiece(0.6, 1.0, 1.0), "_pa", 0.6),
         "reversed": (ConstPiece(0.5, 0.4, 1.0), "_pb", 0.4),
-        "sigma": (forged(LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.3), sigma=0.5), "_sig", 0.5),
-        "tau": (forged(LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.3), tau=0.7), "_tau", 0.7),
+        "sigma": (LogPiece(0.5, 1.0, 0.2, -0.7, 0.5, 0.3), "_sig", 0.5),
+        "tau": (LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, 0.7), "_tau", 0.7),
+        "end": (LogPiece(0.5, inf, 0.2, -0.7, 1.0, 0.3), "_pb", inf),
+        "c0": (LogPiece(0.5, 1.0, inf, -0.7, 1.0, 0.3), "_c0", inf),
+        "c1": (LogPiece(0.5, 1.0, 0.2, nan, 1.0, 0.3), "_c1", nan),
+        "tau -inf": (LogPiece(0.5, 1.0, 0.2, -0.7, 1.0, -inf), "_tau", -inf),
     }
     for bad, key, value in cases.values():
         with pytest.raises(DomainError):
@@ -113,9 +112,11 @@ def test_both_constructors_share_one_validator():
 
 
 def test_log_piece_argument_must_stay_positive():
-    # sigma*(t - tau) changes sign inside (0, 2) here
+    # sigma*(t - tau) changes sign inside (0, 2) here; the piece is checked
+    # when it forms a function
+    piece = LogPiece(0.0, 2.0, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        LogPiece(0.0, 2.0, 0.0, 1.0, 1.0, 1.0)
+        PiecewiseFn([piece])
 
 
 def test_evaluate_pointwise():
@@ -169,6 +170,10 @@ def test_optimizer_argument_guards():
         optimizer_uplus(1.0, -0.1)
     with pytest.raises(DomainError):
         optimizer_uminus(1.0, 0.9)  # below the oscillation scale
+    # the log ramp would end at e^((u - eps)/eps), past the largest double
+    for u in (1e6, math.inf):
+        with pytest.raises(DomainError):
+            optimizer_uminus(1.0, u)
 
 
 # -------------------------------------------------------------- distribution
@@ -486,12 +491,19 @@ def test_pieces_reproduce_the_arrays():
 
 
 def test_ladder_guards():
-    with pytest.raises(DomainError):
-        LadderPiece(0.0, 1.0, 0.0, 1, 0.1)  # one cell is a bare log cusp
-    with pytest.raises(DomainError):
-        LadderPiece(0.0, 1.0, 0.0, 4, 0.0)
+    # one cell is a bare log cusp, and a zero step makes no ladder; the
+    # pieces are checked when they form a function
+    for piece in (LadderPiece(0.0, 1.0, 0.0, 1, 0.1), LadderPiece(0.0, 1.0, 0.0, 4, 0.0)):
+        with pytest.raises(DomainError):
+            PiecewiseFn([piece])
     with pytest.raises(DomainError):
         build_ladder(4, 0.1, -1)
+    for n, h in ((1, 0.1), (2.5, 0.1), (4, 0.0), (4, -0.1), (4, math.nan)):
+        with pytest.raises(DomainError):
+            build_ladder(n, h, 3)
+    # a zero step empties every ramp, but the step is what gets named
+    with pytest.raises(DomainError, match="step"):
+        build_ladder(4, 0.0, 5)
 
 
 def test_ladder_moments_are_exact():
@@ -633,3 +645,14 @@ def test_from_csv_rejects_malformed_input():
         from_csv("kind,a,b,c0,c1,sigma,tau\nconst,0,1\n")
     with pytest.raises(DomainError):
         from_csv("kind,a,b,c0,c1,sigma,tau\nspline,0,1,0,0,1,0\n")
+    with pytest.raises(DomainError):
+        from_csv("kind,a,b,c0,c1,sigma,tau\nconst,0,x,1,0,1,0\n")
+    for row in ("const,0,inf,1,0,1,0", "const,0,1,inf,0,1,0", "log,0.5,1,0,1,1,-inf"):
+        with pytest.raises(DomainError):
+            from_csv("kind,a,b,c0,c1,sigma,tau\n" + row + "\n")
+
+
+def test_csv_constant_rows_ignore_the_log_fields():
+    f = from_csv("kind,a,b,c0,c1,sigma,tau\nconst,0,1,0.5,7,-inf,nan\n")
+    assert [f._c1[0], f._sig[0], f._tau[0]] == [0.0, 1.0, 0.0]
+    assert to_csv(f) == "kind,a,b,c0,c1,sigma,tau\nconst,0,1,0.5,0,1,0\n"

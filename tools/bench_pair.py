@@ -3,8 +3,8 @@
     python3 tools/bench_pair.py --parent REF --out BENCH_<n>.json
 
 The parent REF is checked out in a temporary ``git worktree``, removed
-when the script ends.  For every workload of BENCHMARK.json and every seed
-in SEEDS, each side runs
+when the script ends, also on SIGTERM.  For every workload of
+BENCHMARK.json and every seed in SEEDS, each side runs
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -128,6 +129,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="the JSON record to write")
     args = ap.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    # SIGTERM raises SystemExit, so the finally block below removes the worktree
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     seconds = float(spec["run_seconds"])
 
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
