@@ -324,6 +324,18 @@ def test_bmo_rejects_bad_piece_rows(tmp_path, capsys):
         assert (code, out) == (2, "") and err.startswith("error:")
 
 
+def test_bmo_rejects_non_finite_prefix_integrals(tmp_path, capsys):
+    # the ramp of u- at u = 700 ends near e^699: its f^2 integrals overflow,
+    # and the scan must not read the NaN windows as absent
+    code, csv, _ = run(["optimizer", "--which", "u-", "--u", "700", "--eps", "1"], capsys)
+    assert code == 0
+    path = tmp_path / "ramp.csv"
+    path.write_text(csv)
+    with np.errstate(all="ignore"):
+        code, out, err = run(["bmo", "--fn", str(path), "--levels", "8"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and "not finite" in err
+
+
 def test_bmo_missing_file(capsys):
     code, _, err = run(["bmo", "--fn", "/nonexistent/fn.csv"], capsys)
     assert code == 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmobell import testfn
 from bmobell import (
@@ -248,6 +250,39 @@ def pair_scan_reference(t, s1, s2, wmin):
     return best
 
 
+def pair_scan_rows(t, s1, s2, wmin):
+    """The pair scan before its block bound: one row loop over every pair.
+
+    Row i reads every window [t_i, t_j] in one pass, with mu = (s1_j -
+    s1_i)/w and v = (s2_j - s2_i)/w - mu^2, into buffers made once per
+    call; only a row whose first window is shorter than wmin looks for the
+    suffix of windows long enough.
+    """
+    n = t.size
+    cols = s1.shape[1:]
+    tw = t.reshape((n,) + (1,) * len(cols))
+    wbuf = np.empty((n - 1,) + (1,) * len(cols))
+    mbuf = np.empty((n - 1,) + cols)
+    vbuf = np.empty((n - 1,) + cols)
+    best = np.zeros(cols)
+    for i, short in enumerate((np.diff(t) < wmin).tolist()):
+        lo = i + 1
+        if short:
+            lo += int(np.searchsorted(t[lo:] - t[i], wmin))
+            if lo == n:
+                continue
+        m = n - lo
+        w = np.subtract(tw[lo:], t[i], out=wbuf[:m])
+        mu = np.subtract(s1[lo:], s1[i], out=mbuf[:m])
+        np.divide(mu, w, out=mu)
+        v = np.subtract(s2[lo:], s2[i], out=vbuf[:m])
+        np.divide(v, w, out=v)
+        np.multiply(mu, mu, out=mu)
+        np.subtract(v, mu, out=v)
+        np.fmax(best, v.max(axis=0), out=best)
+    return float(best) if not cols else best
+
+
 def test_pair_scan_matches_the_double_loop():
     # breakpoints closer than the minimal window send rows down the suffix
     # path, and the pair next to the right end leaves a row with no window
@@ -280,6 +315,95 @@ def test_pair_scan_of_phi0_matches_the_double_loop():
         s1, s2 = prefix_integrals(f, t)
         want = pair_scan_reference(t, s1, s2, testfn._MIN_WINDOW * f.length)
         assert bmo_norm(f, levels) == math.sqrt(want)
+
+
+def scan_column(draw, t):
+    """One column of prefix integrals at the nodes t of [0, 1]: a random step
+    function, or log pieces next to their singularity, at a random scale and
+    on a random offset."""
+    kind = draw(st.sampled_from(["steps", "log"]))
+    if kind == "steps":
+        cells = draw(st.integers(2, 80))
+        vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=cells)
+        f = testfn._step_fn(vals)
+    else:
+        # c1 ln t on [0, 1/2) and 0.3 - c1 ln(1 - t) on [1/2, 1): singular at 0 and 1
+        c1 = draw(st.floats(0.2, 2.0))
+        f = PiecewiseFn([LogPiece(0.0, 0.5, 0.0, c1, 1.0, 0.0),
+                         LogPiece(0.5, 1.0, 0.3, -c1, -1.0, 1.0)])
+    s1, s2 = prefix_integrals(f, t)
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    # an offset of 1e8 leaves the variances to cancellation in the prefix sums
+    offset = draw(st.sampled_from([0.0, 0.0, 1e8]))
+    s2 = s2 * scale * scale + 2.0 * offset * scale * s1 + offset * offset * t
+    return s1 * scale + offset * t, s2
+
+
+@st.composite
+def scan_inputs(draw):
+    """Sorted nodes on [0, 1] and (n, F) prefix integrals: n from 2 up to about
+    600, some nodes closer together than the minimal window."""
+    n = draw(st.sampled_from([2, 3, 9, 17, 18, 40, 129, 257, 513, 600]))
+    t = np.linspace(0.0, 1.0, n)
+    close = draw(st.lists(st.integers(1, n - 1), max_size=3)) if n > 2 else []
+    # a node 3e-10 past node k, which is inside the minimal window of 1e-9
+    t = np.unique(np.concatenate([t, t[close] - 3e-10]))
+    cols = [scan_column(draw, t) for _ in range(draw(st.integers(1, 5)))]
+    return t, np.column_stack([c[0] for c in cols]), np.column_stack([c[1] for c in cols])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scan=scan_inputs())
+def test_pair_scan_matches_the_row_loop_bit_for_bit(scan):
+    t, s1, s2 = scan
+    wmin = testfn._MIN_WINDOW
+    want = pair_scan_rows(t, s1, s2, wmin)
+    got = testfn._pair_scan(t, s1, s2, wmin)
+    assert got.tobytes() == want.tobytes()
+    for k in range(s1.shape[1]):
+        one = testfn._pair_scan(t, s1[:, k].copy(), s2[:, k].copy(), wmin)
+        assert type(one) is float
+        assert one.hex() == pair_scan_rows(t, s1[:, k].copy(), s2[:, k].copy(), wmin).hex()
+
+
+def test_pair_scan_keeps_its_rounding_slack():
+    # the first and the last block lie in clusters a few ulps wide, so every
+    # window between them has the variance of the outer window up to
+    # rounding, and an offset makes that rounding larger than the geometric
+    # margin of the bound; a bound without its slack prunes and misreads
+    t = np.concatenate([0.125 + np.arange(9) * 2.0**-55, np.linspace(0.3, 0.7, 8),
+                        0.875 - np.arange(9)[::-1] * 2.0**-53])
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for offset in (1e2, 1e5, 1e6):
+            vals = offset + rng.normal(size=(6, 2)) * 0.1 + [-1.0, 1.0]
+            fns = [testfn._step_fn(v) for v in vals]
+            s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
+            got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW)
+            assert got.tobytes() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tobytes()
+
+
+def test_block_bound_leaves_few_rows_on_short_maximisers(monkeypatch):
+    # the oracle's 64-cell draws on the 2^9 grid: their best windows are
+    # short, so the rows read only a small share of the pairs
+    edges = np.linspace(0.0, 1.0, 65)
+    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 513), edges]))
+    fns = [testfn._step_fn(v) for v in random_step_values(range(48), 64, 1.0)]
+    s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
+    n = t.size
+    b = max(8, -(-(n - 1) // testfn._BLOCKS))
+    read = []
+    ends = testfn._row_ends
+
+    def counted(*args):
+        for lo, stop in ends(*args):
+            read.extend(max(0, stop - (i + 2 * b + 1)) for i in range(lo, min(lo + b, n - 1)))
+            yield lo, stop
+
+    monkeypatch.setattr(testfn, "_row_ends", counted)
+    got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW)
+    assert got.tolist() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tolist()
+    assert sum(read) < 0.25 * n * (n - 1) / 2
 
 
 def test_bmo_levels_guard():
@@ -597,7 +721,7 @@ def test_random_step_values_match_single_draws(monkeypatch):
 
 def test_random_step_values_match_the_per_draw_route(monkeypatch):
     # the route the prefix sums replaced: one step function per draw
-    # through prefix_integrals, then its own pair scan and the rescale
+    # through prefix_integrals, then the row-loop scan and the rescale
     def per_draw(seed, cells, eps):
         rng = np.random.Generator(np.random.Philox(seed))
         raw = rng.normal(0.0, 1.0, cells)
@@ -607,7 +731,7 @@ def test_random_step_values_match_the_per_draw_route(monkeypatch):
         grid = np.linspace(0.0, 1.0, 2 ** testfn._GEN_LEVELS + 1)
         nodes = np.unique(np.concatenate([grid, edges]))
         s1, s2 = prefix_integrals(testfn._step_fn(raw), nodes)
-        best = testfn._pair_scan(nodes, s1[:, None], s2[:, None], testfn._MIN_WINDOW)[0]
+        best = pair_scan_rows(nodes, s1, s2, testfn._MIN_WINDOW)
         return (raw * (eps / math.sqrt(max(best, 0.0)))).tolist()
 
     seeds = list(range(40))
