@@ -46,6 +46,12 @@ _QUAD_TOL = 1e-12
 # 1.9e-14 at span 0.05.
 _RISE_CUT = 0.5
 
+# hyp1f1 loses digits at large arguments: at a = 10 the closed form reads
+# 1.1e-12 relative at y = 1e10 against 50-digit mpmath.  From y = max(
+# _RISE_FAR, 100 (a + 1)) on, 16 terms of the asymptotic series, each under
+# 1/100 of the one before, read within 2.0e-16 for a <= 19.
+_RISE_FAR = 1e4
+
 
 def gamma_fn(a: float) -> float:
     """Euler gamma function, restricted to positive arguments."""
@@ -130,8 +136,19 @@ def m_fn(p: float, eps: float, u, order: int = 0):
 
 def _rise_from_zero(a: float, y: np.ndarray) -> np.ndarray:
     # integral_0^y exp(t - y) t^a dt = y^(a+1) M(1, a+2, -y) / (a+1), by
-    # DLMF 13.4.4 and Kummer's transformation 13.2.39
-    return y ** (a + 1.0) * hyp1f1(1.0, a + 2.0, -y) / (a + 1.0)
+    # DLMF 13.4.4 and Kummer's transformation 13.2.39; far out, repeated
+    # integration by parts gives y^a sum_k (-1)^k a(a-1)...(a-k+1) / y^k
+    out = y ** (a + 1.0) * hyp1f1(1.0, a + 2.0, -y) / (a + 1.0)
+    cut = max(_RISE_FAR, 100.0 * (a + 1.0))
+    if y.max(initial=0.0) >= cut:
+        far = y >= cut
+        yf = y[far]
+        term, acc = np.ones_like(yf), np.ones_like(yf)
+        for k in range(1, 16):
+            term *= (k - 1.0 - a) / yf
+            acc += term
+        out[far] = yf ** a * acc
+    return out
 
 
 def rise_integral(a: float, y1, span) -> np.ndarray:
@@ -145,7 +162,9 @@ def rise_integral(a: float, y1, span) -> np.ndarray:
     """
     y1, span = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(span, dtype=float))
     y1, span = y1.ravel(), span.ravel()
-    out = _rise_from_zero(a, y1 + span) - np.exp(-span) * _rise_from_zero(a, y1)
+    # both ends in one call, which saves a call's overhead on the short arrays of k_fn
+    ends = _rise_from_zero(a, np.concatenate((y1 + span, y1)))
+    out = ends[: y1.size] - np.exp(-span) * ends[y1.size :]
     short = (span < _RISE_CUT) & (y1 > span)
     if np.any(short):
         x, w = _legendre(_NODES)

@@ -106,9 +106,11 @@ class PiecewiseFn:
     constant keeps its value in _c0; a log piece keeps c0, c1, sigma and
     tau; a ladder piece keeps beta in _c0, the step h in _c1 and the
     branching in _nb.  Unused fields read c1 = 0, sigma = 1, tau = 0 and
-    n = 0.  Pieces are checked when they form a function, by _set, which
-    both PiecewiseFn(pieces) and from_arrays go through; the piece objects
-    are built from the arrays on first access to pieces.
+    n = 0.  A piece is constant exactly when its c1 is 0 (a ladder's step is
+    positive), so a log piece with c1 = 0 reads as c0 on every path.  Pieces
+    are checked when they form a function, by _set, which both
+    PiecewiseFn(pieces) and from_arrays go through; the piece objects are
+    built from the arrays on first access to pieces.
 
     Readings that depend only on the function, such as bmo_norm per levels
     and moments per exponent, are kept in _memo, keyed by what was read, and
@@ -237,7 +239,7 @@ def evaluate(f: PiecewiseFn, t):
     idx = np.clip(np.searchsorted(f._pa, arr, side="right") - 1, 0, len(f) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = f._c0[idx] + f._c1[idx] * np.log(f._sig[idx] * (arr - f._tau[idx]))
-    out = np.where(f._kind[idx] == 1, logs, f._c0[idx])
+    out = np.where(f._c1[idx] == 0.0, f._c0[idx], logs)
     lad = np.flatnonzero(f._kind[idx] == 2)
     if lad.size:
         li = idx[lad]
@@ -274,7 +276,7 @@ def _segment_integrals(f: PiecewiseFn, lo_t: np.ndarray, hi_t: np.ndarray, idx: 
     c0, c1 = f._c0[idx], f._c1[idx]
     i1 = c0 * length
     i2 = c0 * c0 * length
-    logp = f._kind[idx] == 1
+    logp = (f._kind[idx] == 1) & (c1 != 0.0)
     if np.any(logp):
         wlo, whi = _w_bounds(f, lo_t[logp], hi_t[logp], idx[logp])
         a0, a1 = c0[logp], c1[logp]
@@ -380,38 +382,25 @@ def second_moment(f: PiecewiseFn) -> float:
 
 
 def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
-    """integral_{z1}^{z1 + dz} exp(-z) |C - B z|^q dz, elementwise; dz may be inf."""
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    dz = np.atleast_1d(np.asarray(dz, dtype=float))
-    B = np.atleast_1d(np.asarray(B, dtype=float))
-    C = np.atleast_1d(np.asarray(C, dtype=float))
-    out = np.zeros_like(z1)
-    flat = B == 0.0
-    if np.any(flat):
-        out[flat] = np.abs(C[flat]) ** q * np.exp(-z1[flat]) * -np.expm1(-dz[flat])
-    live = ~flat
-    if not np.any(live):
-        return out
-    a1, w, b_, c_ = z1[live], dz[live], B[live], C[live]
-    zs = c_ / b_
-    absB = np.abs(b_)
+    """integral_{z1}^{z1 + dz} exp(-z) |C - B z|^q dz over 1-D arrays, B != 0; dz may be inf."""
+    zs = C / B
+    absB = np.abs(B)
     gq = gamma_fn(q + 1.0)
     # decaying side, z >= zs: |C - Bz| = |B| (z - zs)
-    y1 = np.maximum(a1 - zs, 0.0)
-    y2 = np.maximum(a1 + w - zs, 0.0)
+    y1 = np.maximum(z1 - zs, 0.0)
+    y2 = np.maximum(z1 + dz - zs, 0.0)
     p2 = np.where(np.isinf(y2), 1.0, gammainc(q + 1.0, np.where(np.isinf(y2), 0.0, y2)))
     q2 = np.where(np.isinf(y2), 0.0, gammaincc(q + 1.0, np.where(np.isinf(y2), 0.0, y2)))
     tail_small = y1 < q + 1.0
     delta = np.where(tail_small, p2 - gammainc(q + 1.0, y1), gammaincc(q + 1.0, y1) - q2)
-    acc = absB ** q * np.exp(-zs) * gq * np.maximum(delta, 0.0)
+    out = absB ** q * np.exp(-zs) * gq * np.maximum(delta, 0.0)
     # growing side, z <= zs: |C - Bz| = |B| (zs - z), and y = zs - z turns
     # it into a rising integral from zs - z1 - span over the span
-    span = np.minimum(w, zs - a1)
+    span = np.minimum(dz, zs - z1)
     ii = np.flatnonzero(span > 0.0)
     if ii.size:
-        rise = rise_integral(q, zs[ii] - a1[ii] - span[ii], span[ii])
-        acc[ii] += absB[ii] ** q * np.exp(-a1[ii]) * rise
-    out[live] = acc
+        rise = rise_integral(q, zs[ii] - z1[ii] - span[ii], span[ii])
+        out[ii] += absB[ii] ** q * np.exp(-z1[ii]) * rise
     return out
 
 
@@ -423,9 +412,9 @@ def moments(f: PiecewiseFn, q: float) -> float:
 
 
 def _moment(f: PiecewiseFn, q: float) -> float:
-    kind, length = f._kind, f._pb - f._pa
-    total = float(np.sum(np.abs(f._c0[kind == 0]) ** q * length[kind == 0]))
-    logs = np.flatnonzero(kind == 1)
+    kind, length, const = f._kind, f._pb - f._pa, f._c1 == 0.0
+    total = float(np.sum(np.abs(f._c0[const]) ** q * length[const]))
+    logs = np.flatnonzero((kind == 1) & ~const)
     if logs.size:
         wlo, whi = _w_bounds(f, f._pa[logs], f._pb[logs], logs)
         # one logarithm for the width ln(whi / wlo) keeps what -ln(wlo) - z1 would cancel
@@ -446,9 +435,9 @@ def distribution(f: PiecewiseFn, c: float) -> float:
     """Measure of the superlevel set {t in I : f(t) > c}, exactly per piece."""
     c = float(c)
     length = f._pb - f._pa
-    const = f._kind == 0
+    const = f._c1 == 0.0
     total = float(np.sum(length[const] * (f._c0[const] > c)))
-    logs = np.flatnonzero(f._kind == 1)
+    logs = np.flatnonzero((f._kind == 1) & ~const)
     if logs.size:
         c0, c1, sig, tau = f._c0[logs], f._c1[logs], f._sig[logs], f._tau[logs]
         pa, pb = f._pa[logs], f._pb[logs]
@@ -456,11 +445,7 @@ def distribution(f: PiecewiseFn, c: float) -> float:
             t_c = tau + sig * np.exp((c - c0) / c1)
         t_c = np.clip(t_c, pa, pb)
         increasing = c1 * sig > 0
-        contrib = np.where(increasing, pb - t_c, t_c - pa)
-        flat = c1 == 0.0
-        if np.any(flat):
-            contrib[flat] = (pb - pa)[flat] * (c0[flat] > c)
-        total += float(np.sum(contrib))
+        total += float(np.sum(np.where(increasing, pb - t_c, t_c - pa)))
     lad = f._kind == 2
     if np.any(lad):
         total += float(np.sum(length[lad] * np.exp(np.minimum(f._c0[lad] - c, 0.0))))
@@ -470,10 +455,10 @@ def distribution(f: PiecewiseFn, c: float) -> float:
 def stray_outside(f: PiecewiseFn, lo: float, hi: float) -> float:
     """Largest |f| on the pieces reaching below lo or above hi, 0 if none does.
 
-    A log or ladder piece counts as unbounded.
+    A piece with c1 != 0, log or ladder, counts as unbounded.
     """
     out = (f._pa < lo) | (f._pb > hi)
-    size = np.where(f._kind == 0, np.abs(f._c0), np.inf)
+    size = np.where(f._c1 == 0.0, np.abs(f._c0), np.inf)
     return float(np.max(size, where=out, initial=0.0))
 
 
@@ -498,10 +483,10 @@ def _pair_scan(t, s1, s2, wmin):
     t holds n sorted nodes and s1, s2 the prefix integrals at them: 1-D for
     one function, which gives a float, or (n, F) for F functions, one per
     column, which gives one reading per column.  Windows shorter than wmin
-    are skipped.  Every pair read gets mu = (s1_j - s1_i)/w and v = (s2_j -
-    s2_i)/w - mu^2 in the order of _window_var, and a pair is left unread
-    only where a bound proves that it cannot beat the maximum, so on
-    finite prefix integrals, away from underflow, the reading is the
+    are skipped.  Every variance the scan reads, in the band, the block
+    seeds and the rows alike, comes from _window_var, and a pair is left
+    unread only where a bound proves that it cannot beat the maximum, so
+    on finite prefix integrals, away from underflow, the reading is the
     maximum over all pairs, bit for bit.
 
     The nodes are cut into about _BLOCKS blocks of b = max(8,
@@ -557,15 +542,9 @@ def _pair_scan(t, s1, s2, wmin):
                 # w rises with j, so the windows long enough are a suffix of the row
                 lo = max(lo, i + 1 + int(np.searchsorted(t[i + 1 :] - t[i], wmin)))
             if lo < stop:
-                # _window_var written out, which saves a call on each row
                 m = stop - lo
-                w = np.subtract(tw[lo:stop], t[i], out=wbuf[:m])
-                mu = np.subtract(s1[lo:stop], s1[i], out=mbuf[:m])
-                np.divide(mu, w, out=mu)
-                v = np.subtract(s2[lo:stop], s2[i], out=vbuf[:m])
-                np.divide(v, w, out=v)
-                np.multiply(mu, mu, out=mu)
-                np.subtract(v, mu, out=v)
+                v = _window_var(tw[lo:stop], t[i], s1[lo:stop], s1[i], s2[lo:stop], s2[i],
+                                wbuf[:m], mbuf[:m], vbuf[:m])
                 tops[k] = np.maximum.reduce(v)
                 k += 1
         if k:

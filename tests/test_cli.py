@@ -79,6 +79,9 @@ def test_eval_malformed_triple(capsys):
     code, _, err = run(["eval", "--p", "1", "--r", "3", "--x", "0,1"], capsys)
     assert code == 2
     assert err.startswith("error:")
+    code, _, err = run(["eval", "--p", "1", "--r", "3", "--x", "0,a,1"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "expects three comma-separated numbers" in err
 
 
 def test_eval_min_flag_regime_mismatch(capsys):

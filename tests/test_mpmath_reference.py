@@ -1,4 +1,4 @@
-"""30-digit mpmath references for k and the log-piece moments.
+"""30-digit mpmath references for k, the rising integral and the log-piece moments.
 
 The references integrate the defining formulas directly with mpmath.quad
 and share no code with the package: only the double inputs and the piece
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bmobell import LogPiece, PiecewiseFn, k_fn, moments, optimizer_uminus
+from bmobell.specfn import rise_integral
 
 # relative spans (u - eps)/eps: both sides of the 0.5 cut where short
 # spans leave the closed form, the cancelling limit u -> eps, and the far
@@ -69,6 +70,26 @@ def test_k_matches_the_30_digit_integral():
             for ui, gi in zip(u, got):
                 worst = max(worst, rel(gi, ref_k(p, eps, ui)))
     assert worst <= 3e-15, worst
+
+
+@mp.workdps(30)
+def ref_rise(a, y):
+    """integral_0^y exp(t - y) t^a dt, with s = y - t."""
+    a, y = mp.mpf(a), mp.mpf(y)
+    f = lambda s: mp.exp(-s) * (y - s) ** a  # noqa: E731
+    return mp.quad(f, _split(mp.mpf(0), y, (1, 5, 20, 40, 80, 200)))
+
+
+def test_rise_integral_matches_the_30_digit_integral_far_out():
+    # from the cut max(1e4, 100 (a + 1)) on, the integral from 0 is its
+    # asymptotic series; hyp1f1's closed form loses up to 1.1e-12 out there
+    worst = 0.0
+    for a in (0.5, 2.5, 10.0, 19.0):
+        y = np.array([max(1e4, 100.0 * (a + 1.0)), 1e6, 1e8, 1e10])
+        got = rise_integral(a, 0.0, y)
+        for yi, gi in zip(y, got):
+            worst = max(worst, rel(gi, ref_rise(a, yi)))
+    assert worst <= 1e-15, worst
 
 
 LOG_PIECES = (

@@ -131,6 +131,27 @@ def test_evaluate_pointwise():
         evaluate(f, np.array([-0.6]))
 
 
+@pytest.mark.parametrize("c0", [-1.3, 0.0, 2.7])
+@pytest.mark.parametrize("sigma", [1.0, -1.0])
+def test_a_flat_log_piece_reads_as_its_constant(c0, sigma):
+    # c1 = 0 makes a piece constant on every path, also at tau itself,
+    # where c1 ln 0 has no value
+    tau = 1.0 if sigma > 0 else 2.0
+    head = [ConstPiece(0.0, 1.0, 0.5)]
+    f = PiecewiseFn(head + [LogPiece(1.0, 2.0, c0, 0.0, sigma, tau)])
+    g = PiecewiseFn(head + [ConstPiece(1.0, 2.0, c0)])
+    t = np.array([0.0, 0.7, 1.0, 1.25, 1.5, 2.0])
+    assert evaluate(f, tau) == evaluate(g, tau) == c0
+    np.testing.assert_array_equal(evaluate(f, t), evaluate(g, t))
+    for got, want in zip(prefix_integrals(f, t), prefix_integrals(g, t)):
+        np.testing.assert_array_equal(got, want)
+    assert (mean(f), second_moment(f)) == (mean(g), second_moment(g))
+    assert [moments(f, q) for q in (1.0, 2.5, 3.0)] == [moments(g, q) for q in (1.0, 2.5, 3.0)]
+    cs = (-2.0, c0 - 1e-9, c0, 0.5, c0 + 1e-9, 3.0)
+    assert [distribution(f, c) for c in cs] == [distribution(g, c) for c in cs]
+    assert bmo_norm(f, 6) == bmo_norm(g, 6)
+
+
 # ------------------------------------------------------------------- moments
 
 

@@ -275,6 +275,8 @@ def test_transference_support_counts_pieces_reaching_outside():
         ([ConstPiece(-1.0, 0.0, 0.0), ConstPiece(0.0, 1.0, 3.0), ConstPiece(1.0, 2.0, 0.0)], 0.0),
         ([LogPiece(0.0, 1.5, 0.0, -1.0, 1.0, 0.0)], math.inf),
         ([ConstPiece(-2.0, -1.0, 0.5), ConstPiece(-1.0, 0.0, 0.0), ConstPiece(0.0, 1.0, 1.0)], 0.5),
+        # a log piece with c1 = 0 is the constant c0, here flat zero
+        ([ConstPiece(0.0, 1.0, 1.0), LogPiece(1.0, 2.0, 0.0, 0.0, 1.0, 0.5)], 0.0),
     )
     for pieces, stray in cases:
         w = transference_metrics(PiecewiseFn(pieces), 1.0, 3.0, 0.05)
