@@ -51,25 +51,35 @@ class Leaf:
     bracket: tuple[float, float]
 
 
-def _plane(q: float, eps: float, u, a1, x2, central, slope: bool = False):
+def _transforms(q: float, eps: float, u, central):
+    """(m, k, chord) at exponent q for _plane and _coeffs: m on every row, k on
+    the chord-leaf rows, which chord indexes (None for none, a full slice for
+    all, so that a one-family batch pays no gather or scatter)."""
+    chord = ~central
+    if not chord.any():
+        return m_fn(q, eps, u), None, None
+    chord = slice(None) if chord.all() else chord
+    return m_fn(q, eps, u), k_fn(q, eps, u[chord]), chord
+
+
+def _plane(q: float, eps: float, u, a1, x2, tr, slope: bool = False):
     """Supporting plane, exponent q, of the leaf at chord parameter u over (|x1|, x2).
 
-    central[i] picks the x1-independent central leaf, otherwise the
-    two-sided tangent chord leaf; u, a1, x2 and central are arrays of one
-    shape.  With slope it returns (plane, d plane / du), the derivative
-    taken from the same m and k through m' = (m - q u^(q-1)) / eps and
-    k' = (q u^(q-1) - k) / eps, so it costs no further transform call.
+    tr = _transforms(q, eps, u, central): the central rows take the
+    x1-independent central leaf, the chord rows the two-sided tangent
+    chord leaf; u, a1 and x2 are arrays of one shape.  With slope it
+    returns (plane, d plane / du), the derivative taken from the same m
+    and k through m' = (m - q u^(q-1)) / eps and k' = (q u^(q-1) - k) / eps,
+    so it costs no further transform call.
     """
-    m = m_fn(q, eps, u)
+    m, kq, chord = tr
     w = x2 - u * u
     out = u ** q + w * m / (2.0 * (u + eps))
     if slope:
         g = q * u ** (q - 1.0)
         d = g + (-2.0 * u * m + w * (m - g) / eps) / (2.0 * (u + eps)) - w * m / (2.0 * (u + eps) ** 2)
-    chord = ~central
-    if np.any(chord):
+    if chord is not None:
         uh, t1, mq = u[chord], a1[chord], m[chord]
-        kq = k_fn(q, eps, uh)
         quad = x2[chord] - t1 * t1 + (t1 - uh) ** 2
         out[chord] = uh ** q + (mq - kq) / (4.0 * eps) * quad + (mq + kq) / 2.0 * (t1 - uh)
         if slope:
@@ -78,28 +88,27 @@ def _plane(q: float, eps: float, u, a1, x2, central, slope: bool = False):
     return (out, d) if slope else out
 
 
-def _coeffs(q: float, eps: float, u, central, second: bool = False):
+def _coeffs(q: float, eps: float, u, central, tr, second: bool = False):
     """Leaf coefficients, exponent q, at chord parameters u.
 
     Returns (t1, t2, d, d1): the |x1| and x2 coefficients of the plane of
     _plane, the rate d whose ratio between exponents r and p is dB/dx3,
     and with second the u-derivative d1 of d (otherwise None).  Orders 1
     and 2 of m and k come from their recurrences with the arithmetic of
-    m_fn and k_fn, so one transform call per family serves every order.
+    m_fn and k_fn, so the transforms tr = _transforms(q, eps, u, central)
+    serve every order.
     """
-    if q < 2 and np.any(u[central] == 0.0):
+    if q < 2 and (u[central] == 0.0).any():
         raise SingularityError(f"leaf rates are singular at u = 0 for exponent {q} < 2")
-    m = m_fn(q, eps, u)
+    m, k, chord = tr
     m1 = (m - q * u ** (q - 1)) / eps
     t1, t2 = np.zeros_like(u), m / (2.0 * (u + eps))
     d = m1 - q * u ** (q - 2.0)
     m2 = (m1 - q * (q - 1) * u ** (q - 2)) / eps if second else None
     d1 = m2 - q * (q - 2.0) * u ** (q - 3.0) if second else None
-    chord = ~central
-    if np.any(chord):
+    if chord is not None:
         uh, mh = u[chord], m[chord]
         uk = np.maximum(uh, eps)
-        k = k_fn(q, eps, uh)
         k1 = (q * uk ** (q - 1) - k) / eps
         t1[chord] = -uh * (mh - k) / (2.0 * eps) + (mh + k) / 2.0
         t2[chord] = (mh - k) / (4.0 * eps)
@@ -117,8 +126,15 @@ def _brackets(eps: float, a1, x2, central):
     return lo, hi
 
 
+def _rtsafe_step(x, ratio, fx, dfx, prev, a, b):
+    """rtsafe's next iterate: the Newton point x - f/f', or the midpoint of (a, b)."""
+    xn = x - ratio
+    newton = (xn > a) & (xn < b) & (np.abs(2.0 * fx) <= np.abs(prev * dfx))
+    return np.where(newton, xn, 0.5 * (a + b))
+
+
 def _newton(f, lo, hi, increasing: bool, scale):
-    """Masked bracketed Newton-bisection for f(u, rows) = 0, monotone in u.
+    """Bracketed Newton-bisection for f(u, rows) = 0 over rows, monotone in u.
 
     f returns the residual and its u-derivative at each (u, row).  Each
     row clamps to a bracket end whose level misses by at most
@@ -130,8 +146,10 @@ def _newton(f, lo, hi, increasing: bool, scale):
     _STEP_ULPS ulps of u, its bracket has collapsed, or its smallest |f|
     meets the target while its steps have stopped shrinking (the noise
     floor); at most _STEP_MAX steps.  It keeps the u of the smallest |f|
-    it saw.  Returns (u, residual, state) with state 1 solved, 0 level
-    outside the bracket, -1 stalled above the target.
+    it saw.  The running rows' state sits in dense arrays, compacted when
+    rows stop, and each step forms f/f' once, for its stop test and for
+    the next Newton iterate.  Returns (u, residual, state) with state 1
+    solved, 0 level outside the bracket, -1 stalled above the target.
     """
     n = lo.size
     rows = np.arange(n)
@@ -153,43 +171,46 @@ def _newton(f, lo, hi, increasing: bool, scale):
     x = np.where(near, a, b)
     fx = np.where(near, flo[run], fhi[run])
     dfx = np.where(near, slopes[:n][run], slopes[n:][run])
-    best_u, best_f = x.copy(), np.abs(fx)
-    target = _RESIDUAL_REL * scale[run]
-    step, prev = np.full((2, run.size), np.inf)
+    u[run], res[run] = x, np.abs(fx)
     mid = 0.5 * (a + b)
-    live = np.flatnonzero((fx != 0.0) & (mid != a) & (mid != b))
+    go = (fx != 0.0) & (mid != a) & (mid != b)
+    idx, a, b, x, fx, dfx = run[go], a[go], b[go], x[go], fx[go], dfx[go]
+    best_u, best_f, target = x, np.abs(fx), _RESIDUAL_REL * scale[idx]
+    step = prev = np.full(idx.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = fx / dfx
+        xn = _rtsafe_step(x, ratio, fx, dfx, prev, a, b)
     for _ in range(_STEP_MAX):
-        if live.size == 0:
+        if idx.size == 0:
             break
-        al, bl, xl, fl, dl = a[live], b[live], x[live], fx[live], dfx[live]
+        prev, step, x = step, np.abs(xn - x), xn
+        fx, dfx = f(x, idx)
+        fx, dfx = sign * fx, sign * dfx
+        better = np.abs(fx) < best_f
+        best_u, best_f = np.where(better, x, best_u), np.where(better, np.abs(fx), best_f)
+        neg = fx < 0.0
+        a, b = np.where(neg, x, a), np.where(neg, b, x)
+        mid = 0.5 * (a + b)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xn = xl - fl / dl
-            newton = (xn > al) & (xn < bl) & (np.abs(2.0 * fl) <= np.abs(prev[live] * dl))
-        xn = np.where(newton, xn, 0.5 * (al + bl))
-        prev[live], step[live], x[live] = step[live], np.abs(xn - xl), xn
-        fv, dv = f(xn, run[live])
-        fv, dv = sign * fv, sign * dv
-        fx[live], dfx[live] = fv, dv
-        better = np.abs(fv) < best_f[live]
-        best_u[live[better]] = xn[better]
-        best_f[live[better]] = np.abs(fv[better])
-        neg = fv < 0.0
-        a[live[neg]] = xn[neg]
-        b[live[~neg]] = xn[~neg]
-        al, bl = a[live], b[live]
-        mid = 0.5 * (al + bl)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            nxt = np.abs(fv / dv)
-        done = (fv == 0.0) | (nxt <= _STEP_ULPS * np.spacing(np.abs(xn))) | (mid == al) | (mid == bl)
-        done |= (best_f[live] <= target[live]) & (nxt >= 0.5 * step[live])
-        live = live[~done]
-    u[run], res[run] = best_u, best_f
-    state[run[~(best_f <= target)]] = -1
+            ratio = fx / dfx
+            nxt = np.abs(ratio)
+            done = (fx == 0.0) | (nxt <= _STEP_ULPS * np.spacing(np.abs(x))) | (mid == a) | (mid == b)
+            done |= (best_f <= target) & (nxt >= 0.5 * step)
+            if done.any():
+                u[idx[done]], res[idx[done]] = best_u[done], best_f[done]
+                go = ~done
+                idx, a, b, x, fx, dfx, ratio = idx[go], a[go], b[go], x[go], fx[go], dfx[go], ratio[go]
+                best_u, best_f, target, step, prev = best_u[go], best_f[go], target[go], step[go], prev[go]
+            xn = _rtsafe_step(x, ratio, fx, dfx, prev, a, b)
+    u[idx], res[idx] = best_u, best_f
+    state[run[~(res[run] <= _RESIDUAL_REL * scale[run])]] = -1
     return u, res, state
 
 
 def _raise_outside(params: Params, x1: float, x2: float, x3: float):
     eps = params.eps
+    if not np.isfinite([x1, x2, x3]).all():
+        raise DomainError(f"point ({x1}, {x2}, {x3}) has a non-finite coordinate")
     if not omega2_contains(eps, x1, x2):
         raise DomainError(
             f"x2 = {x2} outside [x1^2, x1^2 + eps^2] = [{x1 * x1}, {x1 * x1 + eps * eps}]"
@@ -235,11 +256,11 @@ def solve_u_batch(params: Params, pts):
 
         def f(v, rows):
             i = sub[rows]
-            val, slope = _plane(p, eps, v, a1[i], x2[i], sfam[rows], slope=True)
+            val, slope = _plane(p, eps, v, a1[i], x2[i], _transforms(p, eps, v, sfam[rows]), slope=True)
             return val - x3[i], slope
 
         got, res, state = _newton(f, lo[has], hi[has], p < 2, np.maximum(1.0, np.abs(x3[sub])))
-        if np.any(state < 0):
+        if (state < 0).any():
             k = int(np.flatnonzero(state < 0)[0])
             target = _RESIDUAL_REL * max(1.0, abs(x3[sub[k]]))
             raise ConvergenceError(f"leaf solve stalled at residual {res[k]:.3e} (target {target:.3e})")
@@ -369,9 +390,10 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     # expressions have a limit there and the floor only perturbs by an
     # ulp-scale amount
     uf = np.maximum(u, 1e-15)
-    fu = _plane(p, eps, uf, np.abs(x1), x2, central, slope=True)[1]
-    t1, t2, dp, dp1 = _coeffs(p, eps, uf, central, second=True)
-    _, _, dr, dr1 = _coeffs(r, eps, uf, central, second=True)
+    tp = _transforms(p, eps, uf, central)
+    fu = _plane(p, eps, uf, np.abs(x1), x2, tp, slope=True)[1]
+    t1, t2, dp, dp1 = _coeffs(p, eps, uf, central, tp, second=True)
+    _, _, dr, dr1 = _coeffs(r, eps, uf, central, _transforms(r, eps, uf, central), second=True)
     # mirror symmetry flips the x1 component of the plane gradient
     w = np.stack([np.where(x1 < 0.0, -t1, t1), t2, -np.ones_like(u)], axis=1)
     coef = (dr1 * dp - dr * dp1) / (dp * dp) / fu
@@ -393,7 +415,8 @@ def leaf_value(params: Params, X: np.ndarray, u, central, skel) -> np.ndarray:
         return X[:, 1].copy() if params.r == 2 else X[:, 2].copy()
     out = np.empty(len(X))
     live = ~skel
-    out[live] = _plane(params.r, params.eps, u[live], np.abs(X[live, 0]), X[live, 1], central[live])
+    r, eps, ul = params.r, params.eps, u[live]
+    out[live] = _plane(r, eps, ul, np.abs(X[live, 0]), X[live, 1], _transforms(r, eps, ul, central[live]))
     # the skeleton is the curve of constants: B = |x1|^r
     out[skel] = [abs(x) ** params.r for x in X[skel, 0]]
     return out
@@ -401,7 +424,7 @@ def leaf_value(params: Params, X: np.ndarray, u, central, skel) -> np.ndarray:
 
 def _refuse_boundary(X: np.ndarray, bad, margin: float):
     """BoundaryError naming the first row of X flagged in bad."""
-    if np.any(bad):
+    if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise BoundaryError(
             f"point ({X[i, 0]}, {X[i, 1]}, {X[i, 2]}) within margin {margin} of the domain boundary"
@@ -432,8 +455,8 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
         | (high2 - x3 < gap)
     )
     _refuse_boundary(X, bad, margin)
-    t1p, t2p, dp, _ = _coeffs(p, eps, u, central)
-    t1r, t2r, dr, _ = _coeffs(r, eps, u, central)
+    t1p, t2p, dp, _ = _coeffs(p, eps, u, central, _transforms(p, eps, u, central))
+    t1r, t2r, dr, _ = _coeffs(r, eps, u, central, _transforms(r, eps, u, central))
     rho = dr / dp
     g1 = t1r - rho * t1p
     return np.column_stack([np.where(X[:, 0] < 0.0, -g1, g1), t2r - rho * t2p, rho])

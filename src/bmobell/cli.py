@@ -9,6 +9,7 @@ failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -146,7 +147,9 @@ def _cmd_bmo(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     top = argparse.ArgumentParser(prog="bmobell")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -105,7 +105,7 @@ def _a_m(p: float, eps: float, a1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     # tangent from the outward transform where it exists, central ray otherwise
     out = m_fn(p, eps, 0.0) * x2 / (2.0 * eps)
     t = up > 0.0
-    if np.any(t):
+    if t.any():
         ut = up[t]
         out[t] = ut ** p + m_fn(p, eps, ut) * (a1[t] - ut)
     return out
@@ -115,7 +115,7 @@ def _a_k(p: float, eps: float, a1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     x2, _, um = chord_params(eps, a1, x2)
     out = x2 ** (p / 2.0)
     t = x2 > eps * eps
-    if np.any(t):
+    if t.any():
         ut = np.maximum(um[t], eps)
         out[t] = ut ** p + k_fn(p, eps, ut) * (a1[t] - ut)
     return out

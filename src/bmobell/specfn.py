@@ -97,18 +97,20 @@ def _restore(arr: np.ndarray, scalar: bool):
 def _m0(p: float, eps: float, u: np.ndarray) -> np.ndarray:
     """Order zero of m on nonnegative u, elementwise."""
     x = u / eps
-    out = np.empty_like(u)
     small = x <= _LARGE_X
-    if np.any(small):
-        xs = x[small]
-        out[small] = eps ** (p - 1) * math.gamma(p + 1) * np.exp(xs) * gammaincc(p, xs)
-    if not np.all(small):
-        s, w = _laguerre(_NODES)
-        ub = u[~small]
-        vals = (ub[:, None] + eps * s[None, :]) ** (p - 1)
-        # a row sum, not a matrix product: BLAS picks its kernel by batch
-        # size, which would make a value depend on the other rows
-        out[~small] = p * (vals * w).sum(axis=1)
+    every = small.all()
+    xs = x if every else x[small]
+    head = eps ** (p - 1) * math.gamma(p + 1) * np.exp(xs) * gammaincc(p, xs)
+    if every:
+        return head
+    out = np.empty_like(u)
+    out[small] = head
+    s, w = _laguerre(_NODES)
+    ub = u[~small]
+    vals = (ub[:, None] + eps * s[None, :]) ** (p - 1)
+    # a row sum, not a matrix product: BLAS picks its kernel by batch
+    # size, which would make a value depend on the other rows
+    out[~small] = p * (vals * w).sum(axis=1)
     return out
 
 
@@ -120,9 +122,9 @@ def m_fn(p: float, eps: float, u, order: int = 0):
     """
     _check_common(p, eps, order)
     arr, scalar = _as_array(u)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError("m_fn needs u >= 0")
-    if order >= 1 and p < 2 and np.any(arr == 0):
+    if order >= 1 and p < 2 and (arr == 0).any():
         raise SingularityError(f"derivative of order {order} of m is singular at u = 0 for p = {p} < 2")
     m0 = _m0(p, eps, arr)
     if order == 0:
@@ -160,17 +162,19 @@ def rise_integral(a: float, y1, span) -> np.ndarray:
     integrand has no singularity closer than y1 to the span.  The span is
     an argument of its own so that callers can pass it formed exactly.
     """
-    y1, span = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(span, dtype=float))
-    y1, span = y1.ravel(), span.ravel()
-    # both ends in one call, which saves a call's overhead on the short arrays of k_fn
-    ends = _rise_from_zero(a, np.concatenate((y1 + span, y1)))
-    out = ends[: y1.size] - np.exp(-span) * ends[y1.size :]
+    y1, span = np.asarray(y1, dtype=float), np.asarray(span, dtype=float)
+    y1, span = (v.ravel() for v in np.broadcast_arrays(y1, span)) if y1.ndim else (y1, span.ravel())
+    # both ends in one call, which saves a call's overhead on the short arrays
+    # of k_fn; a scalar y1, as k_fn passes, is one end for every span
+    ends = _rise_from_zero(a, np.concatenate((y1 + span, y1.reshape(-1))))
+    out = ends[: span.size] - np.exp(-span) * ends[span.size :]
     short = (span < _RISE_CUT) & (y1 > span)
-    if np.any(short):
+    if short.any():
         x, w = _legendre(_NODES)
         half = 0.5 * span[short]
         s = half[:, None] * (1.0 + x[None, :])
-        vals = np.exp(s - span[short, None]) * (y1[short, None] + s) ** a
+        start = y1[short, None] if y1.ndim else y1
+        vals = np.exp(s - span[short, None]) * (start + s) ** a
         # a row sum, not a matrix product, for the same reason as in _m0
         out[short] = half * (vals * w).sum(axis=1)
     return out
@@ -185,7 +189,7 @@ def k_fn(p: float, eps: float, u, order: int = 0):
     """
     _check_common(p, eps, order)
     arr, scalar = _as_array(u)
-    if np.any(arr < eps * (1.0 - 1e-12) - 1e-300):
+    if (arr < eps * (1.0 - 1e-12) - 1e-300).any():
         raise DomainError(f"k_fn needs u >= eps = {eps}")
     arr = np.maximum(arr, eps)
     k0 = (p * eps ** (p - 1) * rise_integral(p - 1.0, 1.0, (arr - eps) / eps)).reshape(arr.shape)

@@ -97,11 +97,20 @@ def test_outside_points_raise():
 
 
 def test_value_symmetry_in_x1():
-    pts = interior_points(PA, 40, seed=9)
-    for x1, x2, x3 in pts:
-        a = value(PA, (x1, x2, x3))
-        b = value(PA, (-x1, x2, x3))
-        assert a == pytest.approx(b, rel=1e-12)
+    # the body and every leaf formula see |x1| only, so mirroring a point
+    # is exact: B even, dB/dx1 odd, and the Hessian conjugated by
+    # S = diag(-1, 1, 1); the four pinned pairs, p near 2 and the min regime
+    S = np.diag([-1.0, 1.0, 1.0])
+    for pair in [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0), (1.999, 10.0), (2.001, 10.0), (1.5, 1.2)]:
+        for eps in (0.3, 1.0, 3.0):
+            pa = Params(*pair, eps)
+            pts = interior_points(pa, 200, seed=9)
+            mirror = pts * np.array([-1.0, 1.0, 1.0])
+            assert np.array_equal(value_batch(pa, mirror), value_batch(pa, pts))
+            # near p = 2 the envelopes close in, so the margin would refuse points
+            g, gm = gradient_batch(pa, pts, margin=0.0), gradient_batch(pa, mirror, margin=0.0)
+            assert np.array_equal(gm[:, 0], -g[:, 0]) and np.array_equal(gm[:, 1:], g[:, 1:])
+            assert np.array_equal(hessian_leaf_batch(pa, mirror), S @ hessian_leaf_batch(pa, pts) @ S)
 
 
 # ------------------------------------------------------------------ batching

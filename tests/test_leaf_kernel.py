@@ -24,12 +24,13 @@ from bmobell import (
     classify,
     gradient,
     gradient_batch,
+    hessian_leaf_batch,
     solve_leaf,
     transition_level,
     value,
     value_batch,
 )
-from bmobell.bellman import _brackets, _plane, central_u_batch, solve_u_batch
+from bmobell.bellman import _brackets, _plane, _transforms, central_u_batch, solve_u_batch
 
 
 def point(params, s1, f2, f3):
@@ -47,7 +48,8 @@ def p_residuals(params, pts):
     X = np.asarray(pts, dtype=float)
     u, central, skel = solve_u_batch(params, X)
     assert not np.any(skel)
-    got = _plane(params.p, params.eps, u, np.abs(X[:, 0]), X[:, 1], central)
+    p, eps = params.p, params.eps
+    got = _plane(p, eps, u, np.abs(X[:, 0]), X[:, 1], _transforms(p, eps, u, central))
     return np.abs(got - X[:, 2]) / np.maximum(1.0, np.abs(X[:, 2]))
 
 
@@ -91,14 +93,22 @@ def test_scalar_batch_and_neighbours_agree_exactly(pair, eps, target, others, sl
     x = point(pa, *target)
     alone_b = value_batch(pa, [x])[0]
     alone_u = solve_u_batch(pa, [x])[0][0]
+    # near p = 2 the envelopes close in, so the margin would refuse points
+    alone_g = gradient_batch(pa, [x], margin=0.0)[0]
+    alone_h = hessian_leaf_batch(pa, [x])[0]
     assert value(pa, x) == alone_b
     assert solve_leaf(pa, x).u == alone_u
-    # the same point among other rows, at any position, gives the same bits
+    assert np.array_equal(gradient(pa, x, margin=0.0), alone_g)
+    # the same point among other rows, at any position, gives the same bits;
+    # one row is always one leaf family, so this pins the one-family paths
+    # against the mixed ones
     rows = [point(pa, *o) for o in others]
     k = min(slot, len(rows))
     rows.insert(k, x)
     assert value_batch(pa, rows)[k] == alone_b
     assert solve_u_batch(pa, rows)[0][k] == alone_u
+    assert np.array_equal(gradient_batch(pa, rows, margin=0.0)[k], alone_g)
+    assert np.array_equal(hessian_leaf_batch(pa, rows)[k], alone_h)
 
 
 # --------------------------------------------------------------- edge cases
@@ -303,6 +313,30 @@ def test_value_batch_costs_few_m_fn_calls(pair, monkeypatch):
     value_batch(pa, rows)
     assert len(calls) <= 16
 
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0)])
+def test_hessian_leaf_batch_evaluates_m_once_per_exponent(pair, monkeypatch):
+    # after its solve the closed-form Hessian needs m at p, for the plane's
+    # slope and the p-rates alike, and m at r: two calls, not three
+    pa = Params(*pair)
+    rows = interior(pa, 250, seed=23)
+    calls = []
+    real_m, real_solve = bellman.m_fn, bellman.solve_u_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real_m(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        out = real_solve(*args, **kwargs)
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(bellman, "m_fn", counted)
+    monkeypatch.setattr(bellman, "solve_u_batch", solve)
+    bellman.hessian_leaf_batch(pa, rows)
+    assert calls == [pa.p, pa.r]
+
 OUTSIDE_TEXT = [
     ((1.0, 3.0, 1.0), (0.0, 1.2, 0.5), "x2 = 1.2 outside [x1^2, x1^2 + eps^2] = [0.0, 1.0]"),
     ((1.0, 3.0, 1.0), (0.0, 1.0, 99.0), "x3 = 99.0 outside the reachable interval [0.5, 1.0] at (0.0, 1.0)"),
@@ -318,6 +352,10 @@ OUTSIDE_TEXT = [
     ),
     ((1.0, 3.0, 1.0), (2.0, 3.9, 2.0), "x2 = 3.9 outside [x1^2, x1^2 + eps^2] = [4.0, 5.0]"),
     ((1.0, 2.0, 1.0), (0.0, 5.0, 0.0), "x2 = 5.0 outside [x1^2, x1^2 + eps^2] = [0.0, 1.0]"),
+    # a non-finite coordinate is named as such, not blamed on another one
+    ((1.0, 3.0, 1.0), (np.nan, 1.0, 1.0), "point (nan, 1.0, 1.0) has a non-finite coordinate"),
+    ((4.0, 3.0, 0.6), (0.5, np.inf, 1.0), "point (0.5, inf, 1.0) has a non-finite coordinate"),
+    ((1.5, 3.0, 1.0), (0.0, 0.5, -np.inf), "point (0.0, 0.5, -inf) has a non-finite coordinate"),
 ]
 
 
@@ -325,6 +363,7 @@ OUTSIDE_TEXT = [
 def test_outside_points_raise_the_same_message_everywhere(pe, x, text):
     pa = Params(*pe)
     inside = point(pa, 0.3, 0.5, 0.5)
+    assert domain.classify_batch(pa, [x])[0] is Region.OUTSIDE
     for call in (
         lambda: value(pa, x),
         lambda: solve_leaf(pa, x),

@@ -2,9 +2,9 @@
 
     python3 tools/bench_pair.py --parent REF --out BENCH_<n>.json
 
-The parent REF is checked out in a temporary ``git worktree``, removed
-when the script ends, also on SIGTERM.  For every workload of
-BENCHMARK.json and every seed in SEEDS, each side runs
+The parent REF is extracted with ``git archive`` into a temporary
+directory, removed when the script ends, also on SIGTERM.  For every
+workload of BENCHMARK.json and every seed in SEEDS, each side runs
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="the JSON record to write")
     args = ap.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    # SIGTERM raises SystemExit, so the finally block below removes the worktree
+    # SIGTERM raises SystemExit, so the temporary directory is removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     seconds = float(spec["run_seconds"])
 
@@ -145,23 +145,21 @@ def main(argv=None) -> int:
             "workloads": {},
         }
         parent_root = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_root), report["parent"])
-        try:
-            for wl in (w["name"] for w in spec["workloads"]):
-                runs = []
-                for i, seed in enumerate(SEEDS):
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    row = {"seed": seed, "first": order[0]}
-                    for side in order:
-                        root = parent_root if side == "parent" else ROOT
-                        row[side] = run_side(root, wl, seed, seconds)
-                    runs.append(row)
-                    print(f"{wl} seed {seed}: done", file=sys.stderr)
-                report["workloads"][wl] = {"runs": runs, **summarize(runs, metrics)}
-                args.out.write_text(json.dumps(report, indent=1) + "\n")
-        finally:
-            git("worktree", "remove", "--force", str(parent_root))
-            git("worktree", "prune")
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "archive", report["parent"]], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive.stdout, check=True)
+        for wl in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for i, seed in enumerate(SEEDS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                row = {"seed": seed, "first": order[0]}
+                for side in order:
+                    root = parent_root if side == "parent" else ROOT
+                    row[side] = run_side(root, wl, seed, seconds)
+                runs.append(row)
+                print(f"{wl} seed {seed}: done", file=sys.stderr)
+            report["workloads"][wl] = {"runs": runs, **summarize(runs, metrics)}
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
