@@ -376,7 +376,8 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     this form are exact up to symmetric-eigensolver roundoff, which the
     finite-difference route cannot match near the domain boundary.
     Skeleton points, where no leaf passes transversally, raise
-    BoundaryError as in gradient_batch.
+    BoundaryError as in gradient_batch, and rows whose plane's u-slope
+    rounds to 0 (far out at p = 1, where k rounds to m) SingularityError.
     """
     X = as_triples(pts)
     p, r, eps = params.p, params.r, params.eps
@@ -392,6 +393,9 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     uf = np.maximum(u, 1e-15)
     tp = _transforms(p, eps, uf, central)
     fu = _plane(p, eps, uf, np.abs(x1), x2, tp, slope=True)[1]
+    if (fu == 0.0).any():
+        i = int(np.argmax(fu == 0.0))
+        raise SingularityError(f"the leaf plane's u-slope rounds to 0 at row {i}, point {X[i].tolist()}")
     t1, t2, dp, dp1 = _coeffs(p, eps, uf, central, tp, second=True)
     _, _, dr, dr1 = _coeffs(r, eps, uf, central, _transforms(r, eps, uf, central), second=True)
     # mirror symmetry flips the x1 component of the plane gradient

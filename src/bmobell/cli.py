@@ -18,7 +18,7 @@ import numpy as np
 from . import testfn, verify
 from .bellman import leaf_regions, leaf_value, solve_u_batch
 from .domain import Params, Regime, envelope_batch
-from .errors import BmoBellError
+from .errors import BmoBellError, DomainError
 
 
 def _fmt(v: float) -> str:
@@ -75,6 +75,8 @@ def _cmd_scan(args) -> int:
         print(f"error: --grid expects x2lo:x2hi:n,x3n, got {args.grid!r}", file=sys.stderr)
         return 2
     x1 = args.x1
+    if not np.isfinite([x1, x2lo, x2hi]).all():
+        raise DomainError(f"scan needs a finite --x1 and grid ends, got --x1 {x1} and --grid {args.grid!r}")
     eps = params.eps
     x2s = np.linspace(x2lo, x2hi, n2)
     inside = (x2s >= x1 * x1) & (x2s <= x1 * x1 + eps * eps)

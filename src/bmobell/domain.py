@@ -49,6 +49,8 @@ class Params:
     eps: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.p, self.r, self.eps]).all():
+            raise DomainError(f"p, r and eps must be finite, got ({self.p}, {self.r}, {self.eps})")
         if not self.p >= 1:
             raise DomainError(f"p must be >= 1, got {self.p}")
         if self.p == 2:

@@ -13,8 +13,9 @@ Both satisfy the first order recurrences
 so derivative orders 1 and 2 are produced from order 0 by exact algebra
 instead of differentiated quadrature.  Order zero is closed form: m through
 the upper incomplete gamma function, k through Kummer's function M in
-rise_integral.  Direct quadrature routes for every order are kept in
-quad_m / quad_k as independent cross-checks.
+rise_integral.  quad_m and quad_k are independent cross-checks: they
+integrate every order directly, with no recurrence, through one adaptive
+quadrature (scipy's quad, QUADPACK; Piessens et al., 1983).
 """
 
 from __future__ import annotations
@@ -25,17 +26,18 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaincc, hyp1f1, roots_jacobi
+from scipy.special import gammaincc, hyp1f1
 
-from .errors import DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError
 
 # u/eps above this threshold switches the closed form exp(x)*Gamma(p,x) to a
 # shifted exponential-weight rule, which cannot overflow and is already at
 # machine accuracy there.
 _LARGE_X = 30.0
 
-# node count of every fixed Gauss rule here, and the absolute and relative
-# target of the adaptive cross-route quad_k
+# node count of the fixed Gauss rules of m_fn and rise_integral, and the
+# absolute and relative target of the adaptive quadrature behind quad_m and
+# quad_k
 _NODES = 64
 _QUAD_TOL = 1e-12
 
@@ -68,12 +70,6 @@ def _laguerre(n: int):
 @lru_cache(maxsize=32)
 def _legendre(n: int):
     return leggauss(n)
-
-
-@lru_cache(maxsize=64)
-def _jacobi_left(n: int, beta: float):
-    # weight (1+x)^beta on [-1, 1]; the algebraic factor sits at the left end
-    return roots_jacobi(n, 0.0, beta)
 
 
 def _check_common(p: float, eps: float, order: int) -> None:
@@ -202,80 +198,72 @@ def k_fn(p: float, eps: float, u, order: int = 0):
     return _restore(k2, scalar)
 
 
-def _exp_power_integral(a: float, eps: float, u: float, n: int) -> float:
-    """integral_0^inf exp(-s) (u + eps*s)^a ds by split quadrature.
+def _falling(p: float, order: int) -> float:
+    """p (p-1) ... (p-order), the factor order derivatives put before t^(p-1-order)."""
+    return math.prod(p - i for i in range(order + 1))
 
-    The head [0, 1] is resolved against the algebraic behaviour near s = 0
-    (log substitution for u > 0, one-sided Jacobi rule at u = 0); the tail
-    uses a shifted exponential-weight rule.
-    """
-    s, w = _laguerre(n)
-    tail = float(math.exp(-1.0) * ((u + eps + eps * s) ** a) @ w)
-    if u == 0.0:
-        if a <= -1:
-            raise SingularityError(f"exponent {a} not integrable at u = 0")
-        xj, wj = _jacobi_left(n, a)
-        sj = 0.5 * (xj + 1.0)
-        head = float(2.0 ** (-a - 1.0) * (np.exp(-sj) @ wj)) * eps ** a
-        return head + tail
-    # head in t = u + eps*s coordinates, resolved on a log scale
-    Y = math.log1p(eps / u)
-    npan = max(1, math.ceil(Y / 3.0))
-    edges = np.linspace(0.0, Y, npan + 1)
-    x, wl = _legendre(n)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    y = mid[:, None] + half[:, None] * x[None, :]
-    t = u * np.exp(y)
-    vals = np.exp(-(t - u) / eps) * t ** (a + 1.0)
-    head = float(np.sum(half[:, None] * wl[None, :] * vals) / eps)
-    return head + tail
+
+def _adaptive(f, lo: float, hi: float, **weight) -> float:
+    """integral_lo^hi f by scipy's quad; what quad would flag with an IntegrationWarning raises."""
+    # imported here: scipy.integrate adds about 26 MB to every process that
+    # imports bmobell, and only the cross-routes use it
+    from scipy.integrate import quad
+
+    val, _, _, *msg = quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
+                           full_output=1, **weight)
+    if msg:
+        raise ConvergenceError(f"adaptive quadrature over [{lo}, {hi}] did not converge: {msg[0]}")
+    return val
 
 
 def quad_m(p: float, eps: float, u, order: int = 0):
-    """Direct quadrature route for m and its derivatives, used as a cross-check."""
+    """Direct quadrature route for m and its derivatives, used as a cross-check.
+
+    m^(j)(u) = p(p-1)...(p-j) integral_0^inf exp(-y) (u + eps*y)^(p-1-j) dy,
+    split at y = 1.  At u = 0 the head takes y^(p-1-j) as an algebraic
+    weight; for u > 0 it is integrated on a log scale.
+    """
     _check_common(p, eps, order)
     arr, scalar = _as_array(u)
     if np.any(arr < 0):
         raise DomainError("quad_m needs u >= 0")
-    factor = {0: p, 1: p * (p - 1), 2: p * (p - 1) * (p - 2)}[order]
-    a = p - 1 - order
+    factor, a = _falling(p, order), p - 1.0 - order
     if factor == 0.0:
         return _restore(np.zeros_like(arr), scalar)
     if order >= 1 and p < 2 and np.any(arr == 0):
         raise SingularityError(f"derivative of order {order} of m is singular at u = 0 for p = {p} < 2")
-    flat = np.atleast_1d(arr)
-    vals = np.array([factor * _exp_power_integral(a, eps, float(ui), _NODES) for ui in flat])
-    return _restore(vals.reshape(arr.shape), scalar)
+
+    def one(ui: float) -> float:
+        if ui == 0.0:
+            head = eps ** a * _adaptive(lambda y: math.exp(-y), 0.0, 1.0, weight="alg", wvar=(a, 0.0))
+        else:
+            # in s = ln(u + eps*y) the power is an exponential, which stays
+            # smooth for u far below eps, where a negative power is sharp in y
+            head = _adaptive(lambda s: math.exp(s * (a + 1.0) - (math.exp(s) - ui) / eps),
+                             math.log(ui), math.log(ui + eps)) / eps
+        tail = _adaptive(lambda y: math.exp(-y) * (ui + eps * y) ** a, 1.0, math.inf)
+        return factor * (head + tail)
+
+    return _restore(np.vectorize(one, otypes=[float])(arr), scalar)
 
 
 def quad_k(p: float, eps: float, u, order: int = 0):
-    """Adaptive-quadrature route for k and its derivatives, used as a cross-check."""
+    """Direct quadrature route for k and its derivatives, used as a cross-check.
+
+    k^(j)(u) = c_j exp((eps-u)/eps)
+               + p(p-1)...(p-j)/eps integral_eps^u exp((t-u)/eps) t^(p-1-j) dt,
+    where integration by parts gives c_0 = 0, c_1 = p eps^(p-2) and
+    c_2 = p(p-2) eps^(p-3).  No order is derived from another.
+    """
     _check_common(p, eps, order)
     arr, scalar = _as_array(u)
     if np.any(arr < eps * (1.0 - 1e-12)):
         raise DomainError(f"quad_k needs u >= eps = {eps}")
-    # imported here: scipy.integrate adds about 26 MB to every process that
-    # imports bmobell, and only this cross-check uses it
-    from scipy.integrate import quad as adaptive_quad
+    factor, a = _falling(p, order), p - 1.0 - order
+    edge = (0.0, p * eps ** (p - 2.0), p * (p - 2.0) * eps ** (p - 3.0))[order]
 
-    def one(ui: float, a: float, factor: float) -> float:
-        if ui <= eps:
-            return 0.0
-        val, _ = adaptive_quad(
-            lambda t: math.exp((t - ui) / eps) * t ** a,
-            eps, ui, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
-        )
-        return factor / eps * val
+    def one(ui: float) -> float:
+        inner = 0.0 if ui <= eps else _adaptive(lambda t: math.exp((t - ui) / eps) * t ** a, eps, ui)
+        return edge * math.exp((eps - ui) / eps) + factor / eps * inner
 
-    flat = np.atleast_1d(arr)
-    if order == 0:
-        vals = np.array([one(float(ui), p - 1.0, p) for ui in flat])
-    elif order == 1:
-        base = np.array([one(float(ui), p - 1.0, p) for ui in flat])
-        vals = (p * flat ** (p - 1) - base) / eps
-    else:
-        boundary = p * (p - 2) * eps ** (p - 3) * np.exp((eps - flat) / eps)
-        inner = np.array([one(float(ui), p - 3.0, p * (p - 1) * (p - 2)) for ui in flat])
-        vals = boundary + inner
-    return _restore(vals.reshape(arr.shape), scalar)
+    return _restore(np.vectorize(one, otypes=[float])(arr), scalar)

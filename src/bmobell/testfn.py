@@ -234,7 +234,7 @@ def evaluate(f: PiecewiseFn, t):
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < f.a) or np.any(arr > f.b):
+    if not ((arr >= f.a) & (arr <= f.b)).all():
         raise DomainError(f"argument outside the domain [{f.a}, {f.b}]")
     idx = np.clip(np.searchsorted(f._pa, arr, side="right") - 1, 0, len(f) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -292,8 +292,8 @@ def check_attainment(params: Params, u_grid) -> VerifyReport:
 
 def sharp_constant(p: float, r: float) -> float:
     """Best constant in the multiplicative moment inequality."""
-    if not (p >= 1.0 and r >= max(2.0, p) and r > p):
-        raise DomainError(f"need p >= 1 and r >= max(2, p) with r > p, got ({p}, {r})")
+    if not (p >= 1.0 and r >= max(2.0, p) and r > p and math.isfinite(r)):
+        raise DomainError(f"need p >= 1 and a finite r >= max(2, p) with r > p, got ({p}, {r})")
     return (gamma_fn(r + 1.0) / gamma_fn(p + 1.0)) ** (1.0 / r)
 
 

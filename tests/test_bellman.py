@@ -5,6 +5,8 @@ interior points of every region and regime, against an external
 high-precision route.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bmobell import (
     DomainError,
     Params,
     Region,
+    SingularityError,
     bellman2d,
     classify_batch,
     gamma_fn,
@@ -292,3 +295,18 @@ def test_batch_derivatives_check_shape():
             gradient_batch(PA, bad)
         with pytest.raises(DomainError, match=r"\(n, 3\)"):
             hessian_leaf_batch(PA, bad)
+
+
+def test_hessian_refuses_a_leaf_plane_without_u_slope():
+    # at p = 1, k(u) = 1 - exp((eps - u)/eps) rounds to m(u) = 1 far out, so
+    # at x1 = 40 the plane's u-slope is exactly 0 and the rank-one factor
+    # would divide by it
+    def mid(x1):
+        x2 = x1 * x1 + 0.5
+        return [x1, x2, 0.5 * (bellman2d(PA, x1, x2, "lower") + bellman2d(PA, x1, x2, "upper"))]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(hessian_leaf_batch(PA, [mid(10.0), mid(20.0)])).all()
+        with pytest.raises(SingularityError, match="row 1"):
+            hessian_leaf_batch(PA, [mid(10.0), mid(40.0)])

@@ -111,6 +111,15 @@ def test_constant_known_values(capsys):
     assert out.strip() == "1.4142135623730951"
     code, _, err = run(["constant", "--p", "3", "--r", "2"], capsys)
     assert code == 2
+    code, out, err = run(["constant", "--p", "1", "--r", "inf"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_non_finite_parameters_exit_two(capsys):
+    for flags in (["--p", "1", "--r", "inf"], ["--p", "inf", "--r", "3"], ["--p", "1", "--r", "3", "--eps", "inf"],
+                  ["--p", "1", "--r", "3", "--eps", "nan"]):
+        code, out, err = run(["eval", *flags, "--x", "0,0.5,0.5"], capsys)
+        assert (code, out) == (2, "") and err.startswith("error:") and "finite" in err
 
 
 # ---------------------------------------------------------------------- scan
@@ -222,8 +231,11 @@ def test_eval_and_point_suites_make_one_batch_call(capsys, monkeypatch):
 def test_scan_grid_parse_errors(capsys):
     assert run(["scan", "--p", "1", "--r", "3", "--grid", "1:2"], capsys)[0] == 2
     assert run(["scan", "--p", "1", "--r", "3", "--grid", "a:b:c,d"], capsys)[0] == 2
-    for grid in ("0:1:-1", "0:1:3,-2"):
-        code, out, err = run(["scan", "--p", "1", "--r", "3", "--grid", grid], capsys)
+    # negative counts, and non-finite grid ends or --x1, which would
+    # print rows of NaN or inf
+    for extra in (["--grid", "0:1:-1"], ["--grid", "0:1:3,-2"], ["--grid", "nan:1:2,2"], ["--grid", "0:inf:2,2"],
+                  ["--x1", "nan", "--grid", "0:1:2,2"], ["--x1", "inf", "--grid", "0:1:2,2"]):
+        code, out, err = run(["scan", "--p", "1", "--r", "3", *extra], capsys)
         assert (code, out) == (2, "") and err.startswith("error:")
 
 

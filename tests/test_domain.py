@@ -41,6 +41,9 @@ def test_params_validation():
         Params(1.0, 3.0, 0.0)
     with pytest.raises(DomainError):
         Params(1.0, 3.0, -1.0)
+    for bad in ((math.inf, 3.0, 1.0), (1.0, math.inf, 1.0), (1.0, 3.0, math.inf), (1.0, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            Params(*bad)
 
 
 def test_regime_sign_table():

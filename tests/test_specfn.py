@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import bmobell
 from bmobell import (
+    ConvergenceError,
     DomainError,
     SingularityError,
     gamma_fn,
@@ -108,6 +110,35 @@ def test_quad_routes_match_frozen_reference_table():
     assert worst <= 1e-9
 
 
+def test_quad_routes_match_the_transforms_across_eps():
+    # every order of both routes is its own quadrature, so this compares
+    # each derivative of m_fn and k_fn with an independent route; u/eps
+    # stops at 20, short of where the order-2 recurrences of the closed
+    # forms lose about 3e-12 (at eps = 0.3, u/eps near 30)
+    x = np.concatenate([[0.0, 1e-9, 1e-3], np.linspace(0.05, 20.0, 7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 1.5, 2.5, 4.0, 10.0):
+            for eps in (0.3, 1.0, 3.0):
+                for order in (0, 1, 2):
+                    u = eps * (x[1:] if order and p < 2 else x)
+                    got, want = quad_m(p, eps, u, order), m_fn(p, eps, u, order)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                    got, want = quad_k(p, eps, eps + eps * x, order), k_fn(p, eps, eps + eps * x, order)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("route, u", [(quad_m, 0.0), (quad_m, 1.3), (quad_k, 2.4)])
+def test_unconverged_quadrature_raises(monkeypatch, route, u):
+    # a target far below double precision cannot be met: quad would warn
+    # and hand back its best guess, which a cross-check must not use
+    monkeypatch.setattr(bmobell.specfn, "_QUAD_TOL", 1e-30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            route(2.5, 1.0, u, 1)
+
+
 def test_large_argument_branch_is_seamless():
     # m switches strategy around u/eps = 30; k hands spans (u - eps)/eps
     # below 0.5 from the Kummer closed form to one Gauss panel
@@ -183,8 +214,9 @@ def test_reference_comparison_has_teeth():
 
 
 def test_import_leaves_adaptive_quadrature_unloaded():
-    # scipy.integrate costs about 26 MB and 0.4 s per process; only quad_k
-    # needs it, so importing the package and its CLI must not load it
+    # scipy.integrate costs about 26 MB and 0.4 s per process; only the
+    # cross-routes quad_m and quad_k need it, so importing the package and
+    # its CLI must not load it
     src = str(Path(bmobell.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, bmobell, bmobell.cli; print('scipy.integrate' in sys.modules)"

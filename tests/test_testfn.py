@@ -129,6 +129,10 @@ def test_evaluate_pointwise():
     np.testing.assert_allclose(got, want, rtol=1e-14)
     with pytest.raises(DomainError):
         evaluate(f, np.array([-0.6]))
+    with pytest.raises(DomainError):
+        evaluate(optimizer_phi0(), math.nan)
+    with pytest.raises(DomainError):
+        evaluate(f, np.array([0.5, math.nan]))
 
 
 @pytest.mark.parametrize("c0", [-1.3, 0.0, 2.7])

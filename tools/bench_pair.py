@@ -65,7 +65,13 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"returncode": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        # a run whose last line is no result object is not correct
+        return {"returncode": 0, "last_line": lines[-1][-2000:], "stderr_tail": proc.stderr[-2000:]}
     result["returncode"] = 0
     result["checks_failed"] = [
         ln for ln in proc.stderr.splitlines() if ln.startswith("check ") and ": FAILED:" in ln
