@@ -27,10 +27,11 @@ from .domain import (
     chord_params,
     classify_batch,
     envelope_batch,
+    leaf_regions,
     omega2_contains,
 )
 from .errors import BoundaryError, ConvergenceError, DomainError, SingularityError
-from .specfn import k_fn, m_fn
+from .specfn import k_fn, m_fn, next_order
 
 _STEP_MAX = 200
 _RESIDUAL_REL = 1e-12
@@ -94,27 +95,26 @@ def _coeffs(q: float, eps: float, u, central, tr, second: bool = False):
     Returns (t1, t2, d, d1): the |x1| and x2 coefficients of the plane of
     _plane, the rate d whose ratio between exponents r and p is dB/dx3,
     and with second the u-derivative d1 of d (otherwise None).  Orders 1
-    and 2 of m and k come from their recurrences with the arithmetic of
-    m_fn and k_fn, so the transforms tr = _transforms(q, eps, u, central)
-    serve every order.
+    and 2 of m and k come from specfn.next_order, as in m_fn and k_fn, so
+    the transforms tr = _transforms(q, eps, u, central) serve every order.
     """
     if q < 2 and (u[central] == 0.0).any():
         raise SingularityError(f"leaf rates are singular at u = 0 for exponent {q} < 2")
     m, k, chord = tr
-    m1 = (m - q * u ** (q - 1)) / eps
+    m1 = next_order("m", q, eps, u, m, 0)
     t1, t2 = np.zeros_like(u), m / (2.0 * (u + eps))
     d = m1 - q * u ** (q - 2.0)
-    m2 = (m1 - q * (q - 1) * u ** (q - 2)) / eps if second else None
+    m2 = next_order("m", q, eps, u, m1, 1) if second else None
     d1 = m2 - q * (q - 2.0) * u ** (q - 3.0) if second else None
     if chord is not None:
         uh, mh = u[chord], m[chord]
         uk = np.maximum(uh, eps)
-        k1 = (q * uk ** (q - 1) - k) / eps
+        k1 = next_order("k", q, eps, uk, k, 0)
         t1[chord] = -uh * (mh - k) / (2.0 * eps) + (mh + k) / 2.0
         t2[chord] = (mh - k) / (4.0 * eps)
         d[chord] = m1[chord] - k1
         if second:
-            d1[chord] = m2[chord] - (q * (q - 1) * uk ** (q - 2) - k1) / eps
+            d1[chord] = m2[chord] - next_order("k", q, eps, uk, k1, 1)
     return t1, t2, d, d1
 
 
@@ -274,14 +274,6 @@ def solve_u_batch(params: Params, pts):
         i = todo[0]
         raise ConvergenceError(f"no leaf bracket admits x3 = {X[i, 2]} at ({X[i, 0]}, {X[i, 1]})")
     return u, central, skel
-
-
-def leaf_regions(x1, central, skel) -> np.ndarray:
-    """Region of each solved leaf, from the masks of solve_u_batch and the sign of x1."""
-    out = np.where(np.asarray(x1) >= 0.0, Region.XI_PLUS, Region.XI_MINUS)
-    out[central] = Region.XI_ZERO
-    out[skel] = Region.SKELETON
-    return out
 
 
 def _one_row(x) -> np.ndarray:

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import testfn, verify
-from .bellman import leaf_regions, leaf_value, solve_u_batch
-from .domain import Params, Regime, envelope_batch
+from .bellman import leaf_value, solve_u_batch
+from .domain import Params, Regime, envelope_batch, leaf_regions, omega2_contains
 from .errors import BmoBellError, DomainError
 
 
@@ -77,9 +77,8 @@ def _cmd_scan(args) -> int:
     x1 = args.x1
     if not np.isfinite([x1, x2lo, x2hi]).all():
         raise DomainError(f"scan needs a finite --x1 and grid ends, got --x1 {x1} and --grid {args.grid!r}")
-    eps = params.eps
     x2s = np.linspace(x2lo, x2hi, n2)
-    inside = (x2s >= x1 * x1) & (x2s <= x1 * x1 + eps * eps)
+    inside = omega2_contains(params.eps, x1, x2s)
     # the in-strip rows take their envelopes from one call and their leaves
     # from one batch solve, n3 points per row in row order; each row gets its
     # own linspace, because one linspace over endpoint arrays differs in the

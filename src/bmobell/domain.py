@@ -70,11 +70,12 @@ class Params:
         return Regime.DEGENERATE
 
 
-def omega2_contains(eps: float, x1: float, x2: float, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether (x1, x2) lies in the parabolic strip of width eps^2."""
+def omega2_contains(eps: float, x1, x2):
+    """Whether (x1, x2) lies in the parabolic strip of width eps^2, elementwise over arrays."""
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    return x1 * x1 - tol <= x2 <= x1 * x1 + eps * eps + tol
+    sq = x1 * x1
+    return (sq - MEMBERSHIP_TOL <= x2) & (x2 <= sq + eps * eps + MEMBERSHIP_TOL)
 
 
 def chord_params(eps: float, x1, x2):
@@ -177,14 +178,14 @@ def bellman2d(params: Params, x1: float, x2: float, side: str) -> float:
     return a_k(params.p, params.eps, x1, x2)
 
 
-def omega3_contains(params: Params, x, tol: float = MEMBERSHIP_TOL) -> bool:
+def omega3_contains(params: Params, x) -> bool:
     """Whether x = (x1, x2, x3) is a reachable moment triple."""
     x1, x2, x3 = (float(v) for v in x)
-    if not omega2_contains(params.eps, x1, x2, tol):
+    if not omega2_contains(params.eps, x1, x2):
         return False
     lo = bellman2d(params, x1, x2, "lower")
     hi = bellman2d(params, x1, x2, "upper")
-    return lo - tol <= x3 <= hi + tol
+    return lo - MEMBERSHIP_TOL <= x3 <= hi + MEMBERSHIP_TOL
 
 
 def transition_level(params: Params, x2):
@@ -201,7 +202,16 @@ def as_triples(pts) -> np.ndarray:
     return X
 
 
-def classify_batch(params: Params, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def leaf_regions(x1, central, skel) -> np.ndarray:
+    """Region of each leaf from its family masks and the sign of x1: SKELETON over
+    XI_ZERO (central) over XI_PLUS or XI_MINUS."""
+    out = np.where(np.asarray(x1) >= 0.0, Region.XI_PLUS, Region.XI_MINUS)
+    out[central] = Region.XI_ZERO
+    out[skel] = Region.SKELETON
+    return out
+
+
+def classify_batch(params: Params, pts) -> np.ndarray:
     """Assign every row of an (n, 3) array to its foliation region.
 
     Skeleton points (x2 = x1^2) are tagged first; the central region
@@ -211,22 +221,19 @@ def classify_batch(params: Params, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarr
     """
     X = as_triples(pts)
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-    p, eps = params.p, params.eps
+    p, eps, tol = params.p, params.eps, MEMBERSHIP_TOL
     out = np.full(len(X), Region.OUTSIDE, dtype=object)
-    sq = x1 * x1
-    i = np.flatnonzero((sq - tol <= x2) & (x2 <= sq + eps * eps + tol))
+    i = np.flatnonzero(omega2_contains(eps, x1, x2))
     lo, hi = envelope_batch(params, np.abs(x1[i]), x2[i])
     i = i[(lo - tol <= x3[i]) & (x3[i] <= hi + tol)]
-    a1, y2 = np.abs(x1[i]), x2[i]
+    y1, y2 = x1[i], x2[i]
+    a1 = np.abs(y1)
     band = (a1 <= 2.0 * eps + tol) & (y2 >= 4.0 * eps * a1 - 3.0 * eps * eps - tol)
     fan = band & ((p - 2.0) * (x3[i] - transition_level(params, y2)) >= -tol)
-    out[i] = Region.XI_PLUS
-    out[i[x1[i] < 0.0]] = Region.XI_MINUS
-    out[i[fan]] = Region.XI_ZERO
-    out[i[y2 - sq[i] <= tol]] = Region.SKELETON
+    out[i] = leaf_regions(y1, fan, y2 - y1 * y1 <= tol)
     return out
 
 
-def classify(params: Params, x, tol: float = MEMBERSHIP_TOL) -> Region:
+def classify(params: Params, x) -> Region:
     """classify_batch of the single point x."""
-    return classify_batch(params, [[float(v) for v in x]], tol)[0]
+    return classify_batch(params, [[float(v) for v in x]])[0]

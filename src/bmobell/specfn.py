@@ -73,16 +73,20 @@ def _legendre(n: int):
 
 
 def _check_common(p: float, eps: float, order: int) -> None:
-    if not p >= 1:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
 
 
-def _as_array(u) -> tuple[np.ndarray, bool]:
+def _as_array(u, least: float, what: str) -> tuple[np.ndarray, bool]:
+    """u as a float array and whether it was a scalar; DomainError unless every u is finite and >= least."""
     arr = np.asarray(u, dtype=float)
+    # NaN fails the sign test and +inf the maximum
+    if not ((arr >= least).all() and arr.max(initial=least) < math.inf):
+        raise DomainError(f"{what} needs finite u >= {least:.6g}")
     return arr, arr.ndim == 0
 
 
@@ -117,19 +121,13 @@ def m_fn(p: float, eps: float, u, order: int = 0):
     Orders 1 and 2 come from the defining recurrence, which is exact.
     """
     _check_common(p, eps, order)
-    arr, scalar = _as_array(u)
-    if (arr < 0).any():
-        raise DomainError("m_fn needs u >= 0")
+    arr, scalar = _as_array(u, 0.0, "m_fn")
     if order >= 1 and p < 2 and (arr == 0).any():
         raise SingularityError(f"derivative of order {order} of m is singular at u = 0 for p = {p} < 2")
-    m0 = _m0(p, eps, arr)
-    if order == 0:
-        return _restore(m0, scalar)
-    m1 = (m0 - p * arr ** (p - 1)) / eps
-    if order == 1:
-        return _restore(m1, scalar)
-    m2 = (m1 - p * (p - 1) * arr ** (p - 2)) / eps
-    return _restore(m2, scalar)
+    out = _m0(p, eps, arr)
+    for j in range(order):
+        out = next_order("m", p, eps, arr, out, j)
+    return _restore(out, scalar)
 
 
 def _rise_from_zero(a: float, y: np.ndarray) -> np.ndarray:
@@ -184,23 +182,28 @@ def k_fn(p: float, eps: float, u, order: int = 0):
     and k'(eps) = p*eps^(p-2) exactly.  Arrays are handled elementwise.
     """
     _check_common(p, eps, order)
-    arr, scalar = _as_array(u)
-    if (arr < eps * (1.0 - 1e-12) - 1e-300).any():
-        raise DomainError(f"k_fn needs u >= eps = {eps}")
+    arr, scalar = _as_array(u, eps * (1.0 - 1e-12) - 1e-300, "k_fn")
     arr = np.maximum(arr, eps)
-    k0 = (p * eps ** (p - 1) * rise_integral(p - 1.0, 1.0, (arr - eps) / eps)).reshape(arr.shape)
-    if order == 0:
-        return _restore(k0, scalar)
-    k1 = (p * arr ** (p - 1) - k0) / eps
-    if order == 1:
-        return _restore(k1, scalar)
-    k2 = (p * (p - 1) * arr ** (p - 2) - k1) / eps
-    return _restore(k2, scalar)
+    out = (p * eps ** (p - 1) * rise_integral(p - 1.0, 1.0, (arr - eps) / eps)).reshape(arr.shape)
+    for j in range(order):
+        out = next_order("k", p, eps, arr, out, j)
+    return _restore(out, scalar)
 
 
 def _falling(p: float, order: int) -> float:
     """p (p-1) ... (p-order), the factor order derivatives put before t^(p-1-order)."""
     return math.prod(p - i for i in range(order + 1))
+
+
+def next_order(kind: str, p: float, eps: float, u, f, j: int):
+    """Order j + 1 of m or k (kind "m" or "k") at u from their order j values f.
+
+    The recurrences m - eps m' = p u^(p-1) and k + eps k' = p u^(p-1),
+    differentiated j times: m^(j+1) = (m^(j) - g) / eps and
+    k^(j+1) = (g - k^(j)) / eps with g = p(p-1)...(p-j) u^(p-1-j).
+    """
+    g = _falling(p, j) * u ** (p - 1 - j)
+    return (f - g) / eps if kind == "m" else (g - f) / eps
 
 
 def _adaptive(f, lo: float, hi: float, **weight) -> float:
@@ -224,9 +227,7 @@ def quad_m(p: float, eps: float, u, order: int = 0):
     weight; for u > 0 it is integrated on a log scale.
     """
     _check_common(p, eps, order)
-    arr, scalar = _as_array(u)
-    if np.any(arr < 0):
-        raise DomainError("quad_m needs u >= 0")
+    arr, scalar = _as_array(u, 0.0, "quad_m")
     factor, a = _falling(p, order), p - 1.0 - order
     if factor == 0.0:
         return _restore(np.zeros_like(arr), scalar)
@@ -256,9 +257,7 @@ def quad_k(p: float, eps: float, u, order: int = 0):
     c_2 = p(p-2) eps^(p-3).  No order is derived from another.
     """
     _check_common(p, eps, order)
-    arr, scalar = _as_array(u)
-    if np.any(arr < eps * (1.0 - 1e-12)):
-        raise DomainError(f"quad_k needs u >= eps = {eps}")
+    arr, scalar = _as_array(u, eps * (1.0 - 1e-12), "quad_k")
     factor, a = _falling(p, order), p - 1.0 - order
     edge = (0.0, p * eps ** (p - 2.0), p * (p - 2.0) * eps ** (p - 3.0))[order]
 

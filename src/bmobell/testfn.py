@@ -389,8 +389,8 @@ def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
     # decaying side, z >= zs: |C - Bz| = |B| (z - zs)
     y1 = np.maximum(z1 - zs, 0.0)
     y2 = np.maximum(z1 + dz - zs, 0.0)
-    p2 = np.where(np.isinf(y2), 1.0, gammainc(q + 1.0, np.where(np.isinf(y2), 0.0, y2)))
-    q2 = np.where(np.isinf(y2), 0.0, gammaincc(q + 1.0, np.where(np.isinf(y2), 0.0, y2)))
+    # at y2 = inf these read exactly 1 and 0
+    p2, q2 = gammainc(q + 1.0, y2), gammaincc(q + 1.0, y2)
     tail_small = y1 < q + 1.0
     delta = np.where(tail_small, p2 - gammainc(q + 1.0, y1), gammaincc(q + 1.0, y1) - q2)
     out = absB ** q * np.exp(-zs) * gq * np.maximum(delta, 0.0)

@@ -135,6 +135,20 @@ def test_scan_skeleton_row(capsys):
     assert lines[1] == "2,4,2,Skeleton,2,8"
 
 
+def test_scan_rows_within_the_slack_below_the_strip_match_eval(capsys):
+    # x2 a hair below x1^2 is inside the strip for every membership test,
+    # so scan tabulates it as eval evaluates it: on the skeleton
+    x2 = 0.7 ** 2 - 1e-13
+    code, out, _ = run(["scan", "--p", "1", "--r", "3", "--x1", "0.7", "--grid", f"{x2!r}:{x2!r}:1,2"], capsys)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for x1, y2, x3, region, _u, b in rows:
+        assert region == "Skeleton"
+        code, want, _ = run(["eval", "--p", "1", "--r", "3", "--x", f"{x1},{y2},{x3}"], capsys)
+        assert code == 0 and want.strip() == b
+
+
 def test_scan_central_row(capsys):
     code, out, _ = run(
         ["scan", "--p", "1", "--r", "3", "--grid", "1:1:1,5"], capsys

@@ -212,7 +212,7 @@ def classify_reference(pa, x, tol=1e-12):
     """The region rules point by point, from the scalar membership and envelopes."""
     x1, x2, x3 = x
     eps = pa.eps
-    if not omega3_contains(pa, x, tol):
+    if not omega3_contains(pa, x):
         return Region.OUTSIDE
     if x2 - x1 * x1 <= tol:
         return Region.SKELETON

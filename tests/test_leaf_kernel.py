@@ -30,7 +30,8 @@ from bmobell import (
     value,
     value_batch,
 )
-from bmobell.bellman import _brackets, _plane, _transforms, central_u_batch, solve_u_batch
+from bmobell.bellman import _brackets, _coeffs, _plane, _transforms, central_u_batch, solve_u_batch
+from bmobell.specfn import k_fn, m_fn
 
 
 def point(params, s1, f2, f3):
@@ -135,6 +136,27 @@ def test_points_on_the_envelopes_solve_by_clamp_or_bisection(pair, eps):
         assert p_residual(pa, x) <= 1e-10
 
 
+def test_leaf_rates_are_the_transform_orders_combined():
+    # _coeffs takes orders 1 and 2 of m and k from the order-0 values it is
+    # handed; they must be m_fn's and k_fn's own, bit for bit, on both
+    # families, the pinned pairs, p near 2 and the min regime
+    rng = np.random.default_rng(23)
+    for pair in [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0), (1.999, 10.0), (2.001, 10.0), (1.5, 1.2)]:
+        for eps in (0.3, 1.0, 3.0):
+            pa = Params(*pair, eps)
+            fr = zip(rng.uniform(-2.5, 2.5, 60), rng.uniform(0.05, 0.95, 60), rng.uniform(0.05, 0.95, 60))
+            u, central, _ = solve_u_batch(pa, [point(pa, *t) for t in fr])
+            assert 0 < central.sum() < u.size
+            u, c = np.maximum(u, 1e-15), ~central
+            for q in pair:
+                _, _, d, d1 = _coeffs(q, eps, u, central, _transforms(q, eps, u, central), second=True)
+                m1, m2 = m_fn(q, eps, u, 1), m_fn(q, eps, u, 2)
+                assert np.array_equal(d[central], (m1 - q * u ** (q - 2.0))[central])
+                assert np.array_equal(d1[central], (m2 - q * (q - 2.0) * u ** (q - 3.0))[central])
+                assert np.array_equal(d[c], m1[c] - k_fn(q, eps, u[c], 1))
+                assert np.array_equal(d1[c], m2[c] - k_fn(q, eps, u[c], 2))
+
+
 def test_transition_leaf_points_solve_in_either_family(monkeypatch):
     # on the transition leaf both families hold the point at u = eps; a tie
     # classifies it central, and with the classification flipped to the
@@ -151,8 +173,8 @@ def test_transition_leaf_points_solve_in_either_family(monkeypatch):
 
     real = bellman.classify_batch
 
-    def chord_side(params, X, tol=1e-12):
-        reg = real(params, X, tol)
+    def chord_side(params, X):
+        reg = real(params, X)
         reg[reg == Region.XI_ZERO] = Region.XI_PLUS
         return reg
 
@@ -175,8 +197,8 @@ def test_misclassified_points_fall_back_to_the_other_family(monkeypatch):
 
     real = bellman.classify_batch
 
-    def flipped(params, X, tol=1e-12):
-        reg = real(params, X, tol)
+    def flipped(params, X):
+        reg = real(params, X)
         fan = reg == Region.XI_ZERO
         chord = (reg == Region.XI_PLUS) | (reg == Region.XI_MINUS)
         reg[fan] = Region.XI_PLUS

@@ -189,6 +189,19 @@ def test_domain_guards():
         m_fn(1.5, 1.0, 1.0, order=3)
 
 
+@pytest.mark.parametrize("fn", [m_fn, k_fn, quad_m, quad_k])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_raises(fn, bad):
+    # a NaN or infinite exponent, scale or argument would come back as a
+    # silent nan or inf; u is a scalar and an array with one bad entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((bad, 1.0, 2.0), (2.5, bad, 2.0), (2.5, 1.0, bad), (2.5, 1.0, np.array([2.0, bad]))):
+            for order in (0, 1, 2):
+                with pytest.raises(DomainError):
+                    fn(*args, order)
+
+
 def test_singularity_guard_at_origin():
     for order in (1, 2):
         with pytest.raises(SingularityError):
