@@ -26,6 +26,7 @@ from .domain import (
     as_triples,
     chord_params,
     classify_batch,
+    classify_envelopes,
     envelope_batch,
     leaf_regions,
     omega2_contains,
@@ -219,9 +220,8 @@ def _raise_outside(params: Params, x1: float, x2: float, x3: float):
     raise DomainError(f"x3 = {x3} outside the reachable interval [{lo}, {hi}] at ({x1}, {x2})")
 
 
-def _classify_inside(params: Params, X: np.ndarray) -> np.ndarray:
-    """classify_batch of X, raising DomainError at the first point outside the body."""
-    regions = classify_batch(params, X)
+def _refuse_outside(params: Params, X: np.ndarray, regions: np.ndarray) -> np.ndarray:
+    """The regions of the rows of X, after a DomainError at the first row outside the body."""
     bad = np.flatnonzero(regions == Region.OUTSIDE)
     if bad.size:
         _raise_outside(params, *(float(v) for v in X[bad[0]]))
@@ -239,7 +239,11 @@ def solve_u_batch(params: Params, pts):
     _RESIDUAL_REL * max(1, |x3|) for every point.
     """
     X = as_triples(pts)
-    regions = _classify_inside(params, X)
+    return _solve(params, X, _refuse_outside(params, X, classify_batch(params, X)))
+
+
+def _solve(params: Params, X: np.ndarray, regions: np.ndarray):
+    """solve_u_batch of the (n, 3) array X, whose rows are inside the body in these regions."""
     p, eps = params.p, params.eps
     a1, x2, x3 = np.abs(X[:, 0]), X[:, 1], X[:, 2]
     skel = regions == Region.SKELETON
@@ -374,7 +378,7 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     X = as_triples(pts)
     p, r, eps = params.p, params.r, params.eps
     if params.regime is Regime.DEGENERATE:
-        _classify_inside(params, X)
+        _refuse_outside(params, X, classify_batch(params, X))
         return np.zeros((len(X), 3, 3))
     u, central, skel = solve_u_batch(params, X)
     _refuse_boundary(X, skel, 0.0)
@@ -400,7 +404,7 @@ def value_batch(params: Params, pts) -> np.ndarray:
     """Vectorized value() over an (n, 3) array of moment triples."""
     X = as_triples(pts)
     if params.regime is Regime.DEGENERATE:
-        _classify_inside(params, X)
+        _refuse_outside(params, X, classify_batch(params, X))
         return leaf_value(params, X, None, None, None)
     return leaf_value(params, X, *solve_u_batch(params, X))
 
@@ -435,14 +439,15 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
     """
     X = as_triples(pts)
     if params.regime is Regime.DEGENERATE:
-        _classify_inside(params, X)
+        _refuse_outside(params, X, classify_batch(params, X))
         g = np.array([0.0, 1.0, 0.0]) if params.r == 2 else np.array([0.0, 0.0, 1.0])
         return np.tile(g, (len(X), 1))
-    u, central, _ = solve_u_batch(params, X)
+    # the envelopes classify_envelopes tested x3 against serve the margin test
+    regions, low2, high2 = classify_envelopes(params, X)
+    u, central, _ = _solve(params, X, _refuse_outside(params, X, regions))
     p, r, eps = params.p, params.r, params.eps
     a1, x2, x3 = np.abs(X[:, 0]), X[:, 1], X[:, 2]
     strip = margin * max(1.0, eps * eps)
-    low2, high2 = envelope_batch(params, a1, x2)
     gap = margin * np.maximum(1.0, high2 - low2)
     bad = (
         (x2 - a1 * a1 < strip)

@@ -219,19 +219,28 @@ def classify_batch(params: Params, pts) -> np.ndarray:
     included; the rest splits by the sign of x1.  Returns an object array
     of Region members.
     """
-    X = as_triples(pts)
+    return classify_envelopes(params, as_triples(pts))[0]
+
+
+def classify_envelopes(params: Params, X: np.ndarray):
+    """classify_batch of the (n, 3) array X, with the envelope pair it tested x3 against.
+
+    Returns (regions, low, high): low and high are envelope_batch at the
+    rows inside the strip and NaN at the others.
+    """
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
     p, eps, tol = params.p, params.eps, MEMBERSHIP_TOL
     out = np.full(len(X), Region.OUTSIDE, dtype=object)
+    low, high = np.full(len(X), np.nan), np.full(len(X), np.nan)
     i = np.flatnonzero(omega2_contains(eps, x1, x2))
-    lo, hi = envelope_batch(params, np.abs(x1[i]), x2[i])
-    i = i[(lo - tol <= x3[i]) & (x3[i] <= hi + tol)]
+    low[i], high[i] = envelope_batch(params, np.abs(x1[i]), x2[i])
+    i = i[(low[i] - tol <= x3[i]) & (x3[i] <= high[i] + tol)]
     y1, y2 = x1[i], x2[i]
     a1 = np.abs(y1)
     band = (a1 <= 2.0 * eps + tol) & (y2 >= 4.0 * eps * a1 - 3.0 * eps * eps - tol)
     fan = band & ((p - 2.0) * (x3[i] - transition_level(params, y2)) >= -tol)
     out[i] = leaf_regions(y1, fan, y2 - y1 * y1 <= tol)
-    return out
+    return out, low, high
 
 
 def classify(params: Params, x) -> Region:

@@ -14,12 +14,12 @@ cells.  Pieces are plain records, checked when they form a PiecewiseFn.
 The oscillation seminorm is computed on a dyadic grid refined by every
 piece breakpoint: prefix integrals at grid nodes are exact, so the scan
 over node pairs is exact on its candidate set and bounds the true
-seminorm from below.  The scan reads the pairs in blocks and skips those
-that a bound from the window around them, with a slack for rounding,
+seminorm from below.  The scan reads the pairs in blocks and skips the
+block pairs that an exact separable test, with allowances for rounding,
 proves cannot beat the maximum, so its reading is the maximum over every
-pair, bit for bit.  That saves most of the work where the maximising
-windows are short next to the domain, as for random step functions and
-phi0, and next to none on the near-extremal ladders.
+pair, bit for bit.  It reads about a seventh of the pairs on random step
+functions, a thirteenth on phi0 and a quarter on the near-extremal
+ladders, where the maximising windows are everywhere.
 """
 
 from __future__ import annotations
@@ -38,17 +38,23 @@ from .specfn import gamma_fn, rise_integral
 # inside the cells of a 64-cell draw
 _GEN_LEVELS = 9
 
-# draws per pair scan in random_step_values.  Under the block bound the rows
-# read the union over the columns of the blocks that reach, so wider scans
-# prune less; measured on 2 vCPUs for 1,024 draws of 64 cells (median of 5):
-# 0.54 s at 32 columns, 0.40 s at 64, 0.32 s at 128 and at 256, 0.33 s at
-# 512 and 0.37 s at 1,024, with peak scan memory 0.89, 1.6, 3.0, 5.9, 11.7
-# and 23.3 MB.  128, 192 and 256 came within 4% of each other over 2,048
-# draws, quartiles overlapping, so 256 stays
+# draws per pair scan in random_step_values.  A tile reads every column of a
+# block pair that some column needs, so wider scans prune less; measured on
+# 2 vCPUs for 2,048 draws of 64 cells (median of 9): 0.75 s at 32 columns,
+# 0.64 s at 64, 0.55 s at 128, 0.57 s at 192, 0.53 s at 256, 0.59 s at 384
+# and 0.65 s at 512, with peak traced memory 2.2, 2.6, 4.1, 5.6, 7.1, 10.0
+# and 12.9 MB.  128 to 256 overlap in their quartiles, so 256 stays
 _SCAN_CHUNK = 256
 
-# the pair scan cuts its nodes into about this many blocks for its block bound
+# the pair scan cuts its nodes into about this many blocks for its block
+# tests, of at most _BLOCK_MAX nodes: on the 16,041-node ladder scan blocks
+# of 128 nodes took 150-190 ms where 251 took 260 ms, 64 took 210 ms and 96
+# took 200 ms (median of 7, 2 vCPUs), and scans up to 8,193 nodes keep 64
 _BLOCKS = 64
+_BLOCK_MAX = 128
+
+# values per tile of the pair scan: b rows by as many columns as fit, times F
+_TILE = 2 ** 15
 
 # windows shorter than this fraction of the domain are dropped from the
 # pair scan: prefix-sum cancellation makes their variance meaningless
@@ -484,43 +490,55 @@ def _pair_scan(t, s1, s2, wmin):
     one function, which gives a float, or (n, F) for F functions, one per
     column, which gives one reading per column.  Windows shorter than wmin
     are skipped.  Every variance the scan reads, in the band, the block
-    seeds and the rows alike, comes from _window_var, and a pair is left
-    unread only where a bound proves that it cannot beat the maximum, so
-    on finite prefix integrals, away from underflow, the reading is the
-    maximum over all pairs, bit for bit.
+    seeds and the tiles alike, comes from _window_var, and a pair is left
+    unread only where a test proves that it cannot beat the maximum, so on
+    finite prefix integrals, away from underflow and overflow, the reading
+    is the maximum over all pairs, bit for bit.
 
-    The nodes are cut into about _BLOCKS blocks of b = max(8,
-    ceil((n-1)/_BLOCKS)) nodes, neighbours sharing an end node, and the
-    scan takes three steps:
+    The nodes are cut into blocks of b = max(8, min(ceil((n-1)/_BLOCKS),
+    _BLOCK_MAX)) nodes, neighbours sharing an end node, and the scan takes
+    three steps:
 
     * band: the pairs at most 2b nodes apart, one diagonal at a time, which
       hold every pair within a block or between neighbouring blocks;
-    * block bound: for a row block I and a block J >= I + 2, the window
-      from the first node of I to the last of J bounds the variance of
-      every window from I to J (_row_ends), and its own variance seeds the
-      maximum;
-    * rows: row i reads j from i + 2b + 1 up to the last block J whose
-      bound still reaches the running maximum of some column, taken once
-      per b row blocks.  A row whose first window is shorter than wmin
-      starts no earlier than the suffix of windows long enough.
+    * block tests: for a row block I and a block J >= I + 2, _row_ends
+      decides whether some window from I to J can beat the maximum, and
+      the variance of the window from the first node of I to the last of
+      J seeds it;
+    * tiles: the b rows of each row block read the runs of column blocks
+      that pass, as 2-D tiles of rows by columns by F of about _TILE
+      values, one _window_var call per tile.  A tile whose shortest window
+      is below wmin masks its short windows with its own w.  The pairs a
+      tile reads next to the diagonal are band pairs read again, with the
+      same bits.
 
-    The gain rests on the maximising windows being short next to the
-    domain.  On the oracle's 64-cell draws over the 2^9 grid the rows read
-    about 13% of the pairs at 48 columns and 18% at 256, and on phi0 at
-    levels 12 about 13%; the ladders are near-extremal everywhere, so
-    their rows read about 93%, and there the bound costs at most 1.5% of
-    a scan.  The band reads about 6% of the pairs.
+    A NaN variance, which only an overflow in the prefix integrals makes,
+    takes its column of the diagonal or tile it is in out of the maximum:
+    the reduction passes it on, and np.fmax drops it.
+
+    The gain rests on the tests excluding most block pairs.  Counting the
+    band, the seeds and the tiles, the scan reads about 14% of the pairs
+    on the oracle's 64-cell draws over the 2^9 grid at 48 columns and 19%
+    at 256, 8% on phi0 at levels 12, 24-28% on the ladders of
+    build_ladder's table at levels 6 and 12% on the 16,041-node ladder of
+    depth 6 at levels 10, where the outer-window bound alone left nearly
+    all of them.
     """
     n = t.size
     cols = s1.shape[1:]
     best = np.zeros(cols)
-    b = max(8, -(-(n - 1) // _BLOCKS))
+    b = max(8, min(-(-(n - 1) // _BLOCKS), _BLOCK_MAX))
+    f = math.prod(cols)
+    # columns per tile of b rows
+    step = max(1, _TILE // (b * f))
+    # one flat store per buffer, shared by the band, the block tests and the tiles
+    size = max(n - 1, b * step) * f
+    wflat, mflat, vflat = np.empty(size // f), np.empty(size), np.empty(size)
     tw = t.reshape((n,) + (1,) * len(cols))
-    wbuf = np.empty((n - 1,) + (1,) * len(cols))
-    mbuf = np.empty((n - 1,) + cols)
-    vbuf = np.empty((n - 1,) + cols)
-    short = (np.diff(t) < wmin).tolist()
-    any_short = any(short)
+    wbuf = wflat[: n - 1].reshape((n - 1,) + (1,) * len(cols))
+    mbuf = mflat[: (n - 1) * f].reshape((n - 1,) + cols)
+    vbuf = vflat[: (n - 1) * f].reshape((n - 1,) + cols)
+    any_short = bool((np.diff(t) < wmin).any())
     for d in range(1, min(2 * b, n - 1) + 1):
         m = n - d
         v = _window_var(tw[d:], tw[:m], s1[d:], s1[:m], s2[d:], s2[:m],
@@ -529,74 +547,96 @@ def _pair_scan(t, s1, s2, wmin):
             np.fmax(best, v.max(axis=0, where=wbuf[:m] >= wmin, initial=-np.inf), out=best)
         else:
             np.fmax(best, np.maximum.reduce(v), out=best)
-    # _row_ends sees every input as (n, F) and works in the row buffers
-    views = (s1.reshape(n, -1), s2.reshape(n, -1), best.reshape(-1),
-             wbuf.reshape(n - 1, 1), mbuf.reshape(n - 1, -1), vbuf.reshape(n - 1, -1))
-    # the largest variance of each row of a row block, folded into best after it
-    tops = np.empty((b,) + cols)
-    for lo_i, stop in _row_ends(t, wmin, b, *views):
-        k = 0
-        for i in range(lo_i, min(lo_i + b, n - 1)):
-            lo = i + 2 * b + 1
-            if short[i]:
-                # w rises with j, so the windows long enough are a suffix of the row
-                lo = max(lo, i + 1 + int(np.searchsorted(t[i + 1 :] - t[i], wmin)))
-            if lo < stop:
-                m = stop - lo
-                v = _window_var(tw[lo:stop], t[i], s1[lo:stop], s1[i], s2[lo:stop], s2[i],
-                                wbuf[:m], mbuf[:m], vbuf[:m])
-                tops[k] = np.maximum.reduce(v)
-                k += 1
-        if k:
-            np.fmax(best, np.fmax.reduce(tops[:k]), out=best)
+    # the block tests and the tiles see every input as (n, F), in C order
+    s1, s2 = np.ascontiguousarray(s1.reshape(n, f)), np.ascontiguousarray(s2.reshape(n, f))
+    top = best.reshape(f)
+    tn = t.reshape(n, 1)
+    for a, lo, stop in _row_ends(t, wmin, b, s1, s2, top, wflat, mflat, vflat):
+        ti, s1i, s2i = tn[a : a + b, None], s1[a : a + b, None], s2[a : a + b, None]
+        for j0 in range(lo, stop, step):
+            j1 = min(j0 + step, stop)
+            k = b * (j1 - j0)
+            w = wflat[:k].reshape(b, j1 - j0, 1)
+            v = _window_var(tn[None, j0:j1], ti, s1[None, j0:j1], s1i, s2[None, j0:j1], s2i,
+                            w, mflat[: k * f].reshape(b, -1, f), vflat[: k * f].reshape(b, -1, f))
+            if t[j0] - t[a + b - 1] < wmin:
+                np.fmax(top, v.max(axis=(0, 1), where=w >= wmin, initial=-np.inf), out=top)
+            else:
+                np.fmax(top, np.maximum.reduce(v.reshape(-1, f)), out=top)
     return best if cols else float(best)
 
 
 def _row_ends(t, wmin, b, s1, s2, best, *bufs):
-    """(first node, stop) per row block: its rows read up to, not including, node stop.
+    """(first row, first column, stop) per run of column blocks a row block reads.
 
-    The bounds are worked out for b row blocks at a time, in the row
-    buffers, which they fit since b (K - 2) < n - 1 for K blocks, so the
-    scan's memory grows mainly by the K*F values of s1 and s2 at the last
-    nodes of the blocks, F the column count.  A group's stops are decided
-    against the maximum after every earlier row and the seeds of the
-    group.
+    The b rows of a row block, from its first node on, read the columns
+    from the first node of a run up to, not including, stop.  Block pairs
+    are tested b row blocks at a time, against the maximum after every
+    earlier run and the seeds of the group: first the outer-window bound
+    on all of the group's pairs, in the row buffers, which they fit since
+    b (K - 2) < n - 1 for K blocks, then the exact test on the pairs and
+    columns that bound leaves, in chunks that fit the same buffers.  So
+    the tests add to the scan's memory mainly the K*F values of s1 and s2
+    at the ends of the blocks, F the column count.
 
-    The bound.  Take a row block I = [a, c] and a block J = [e, g] with
-    J >= I + 2, and read s1, s2 and t as exact reals.  Write Q(x, y; m) =
-    (s2_y - s2_x) - 2m (s1_y - s1_x) + m^2 (t_y - t_x); its least value over
-    m is (t_y - t_x) V(x, y), V the window variance, and Q is additive over
-    adjacent windows.  For i in I and j in J, with m the mean of [a, g],
+    The test.  Take a row block I = [a, c] and a block J = [e, g] with
+    J >= I + 2, and read s1, s2 and t as exact reals.  For a mean m and a
+    level beta write
 
-        (t_j - t_i) V(i, j) <= Q(i, j; m) = Q(a, g; m) - Q(a, i; m) - Q(j, g; m)
-                            <= (t_g - t_a) V(a, g) + P_I + R_J,
+        Q(x, y) = (s2_y - s2_x) - 2m (s1_y - s1_x) + (m^2 - beta)(t_y - t_x).
 
-    where P_I is the largest -min_m Q(a, i; m) = D1^2/L - D2 over the windows
-    [a, i] inside I, D1, D2 and L the differences of s1, s2 and t, and R_J
-    that over the windows [j, g] inside J: the amount by which the prefix
-    integrals break Cauchy-Schwarz.  For the integrals of a function these
-    are 0; on the computed prefix sums they measure, without any model of
-    how the sums were formed, all the error that accumulated in them.
-    With t_j - t_i >= L_in = t_e - t_c and L_out = t_g - t_a this gives
+    Q is additive over adjacent windows, and its least value over m is
+    (t_y - t_x)(V(x, y) - beta), V the window variance, so for i in I and
+    j in J
 
-        V(i, j) <= (L_out max(V(a, g), 0) + P_I + R_J) / L_in.
+        (t_j - t_i)(V(i, j) - beta) <= Q(i, j) = Q(a, g) - Q(a, i) - Q(j, g)
+                                    <= S = Q(a, g) - min_I Q(a, i) - min_J Q(j, g),
 
-    Rounding.  Each of the six operations of _window_var rounds once, so
-    away from underflow a computed variance is within 9u (|D2|/w + (D1/w)^2)
-    of V, u = 2^-53.  For every pair from I to J, and for [a, g] itself,
-    that is below r = 5 eps (R2/L_in + (R1/L_in)^2), eps = 2u and R1, R2 the
-    largest ranges of s1, s2 over the nodes in any column.  So every
-    variance computed from I to J is at most
+    and S < 0 proves V(i, j) < beta for every such pair.  The scan takes m
+    the mean of [a, g] and beta = best - r, where r = 5 eps (R2/L_in +
+    (R1/L_in)^2), eps = 2u = 2^-52, R1 and R2 the largest ranges of s1 and
+    s2 over the nodes in any column and L_in = t_e - t_c.  Each of the six
+    operations of _window_var rounds once, so away from underflow a
+    computed variance is within 9u (|D2|/w + (D1/w)^2) of V, D1, D2 and w
+    the differences of s1, s2 and t; for a window from I to J, w >= L_in,
+    that is below 0.9 r, and S < 0 leaves every variance computed from I
+    to J below best - r + 0.9 r, under best.
 
-        bound = (L_out max(V_out + r, 0) + P_I + R_J) / L_in + r,
+    The outer-window bound is the same test with the two minima bounded
+    from below.  The least value of Q(a, i) over m is -(D1^2/L - D2), D1,
+    D2 and L the differences over [a, i]; with P_I the largest D1^2/L - D2
+    over the windows [a, i] inside I and R_J that over the windows [j, g]
+    inside J (the amount by which the prefix sums break Cauchy-Schwarz, 0
+    for the integrals of a function), and beta >= 0, min_I Q(a, i) >= -P_I
+    - beta (t_c - t_a), likewise for J, and S < 0 follows from
 
-    V_out the computed variance of [a, g].  P_I and R_J, taken as their
-    largest value over the columns, have (1 + 4 eps) on D1^2/L for its four
-    roundings, then (1 + 2 eps) on their largest value and 4 eps R2 for the
-    roundings of D1^2/L - D2; the bound has (1 + 8 eps) for the roundings
-    of its nonnegative terms, about ten.  Row block I ends at the last J
-    where some column's bound is not below its maximum; a NaN bound counts
-    as reaching.
+        bound = (L_out max(V(a, g), 0) + P_I + R_J) / L_in < beta,
+
+    L_out = t_g - t_a.  It needs only the K*F outer windows, so it comes
+    first.  In floating point it is read with V_out, the computed variance
+    of [a, g], as (L_out max(V_out + r, 0) + P_I + R_J) / L_in + r < best,
+    which beta < 0 never meets: P_I and R_J, taken as their largest value
+    over the columns, have (1 + 4 eps) on D1^2/L for its four roundings,
+    then (1 + 2 eps) on their largest value and 4 eps R2 for the roundings
+    of D1^2/L - D2; the bound has (1 + 8 eps) for the roundings of its
+    nonnegative terms, about ten.
+
+    The exact test is read in floating point as S < -A.  Every Q is formed
+    as (D2 - (2m) D1) + c L, c = m^2 - beta from the computed m and beta,
+    D1, D2 and L each one rounded difference.  Against the same sum in
+    exact arithmetic with beta = best - r exactly, it is within u (3 R2 +
+    8 |m| R1 + 6 L_out (m^2 + |beta|)), since every window lies inside
+    [a, g]; S is formed as ((Q(a, g) - min_I Q(a, i)) - Q(e, g)) + max_J
+    Q(e, j), with min_J Q(j, g) = Q(e, g) - max_J Q(e, j), so its four Q
+    and three sums are within 21u R2 + 50u |m| R1 + 33u L_out (m^2 +
+    |beta|), below
+
+        A = 17 eps (R2 + 2 |m| R1 + L_out (m^2 + |beta|)),
+
+    which leaves room for A's own roundings.  A block pair is read where
+    some column passes both tests; one whose outer window is shorter than
+    wmin holds no window that counts and is never read.  A NaN bound or
+    test, which only an overflow makes, counts as reaching.
     """
     n, cols = s1.shape
     nb = -(-(n - 1) // b)
@@ -606,7 +646,7 @@ def _row_ends(t, wmin, b, s1, s2, best, *bufs):
     first = np.arange(nb) * b
     last = np.minimum(first + b, n - 1)
     r1, r2 = np.ptp(s1, axis=0).max(), np.ptp(s2, axis=0).max()
-    w, d, p = bufs
+    w, d, p = (x[: (n - 1) * k].reshape(n - 1, k) for x, k in zip(bufs, (1, cols, cols)))
 
     def spans(s, anchor, left, out):
         """s over the windows [anchor, k + 1] (left) or [k, anchor], k = 0 .. n-2, into out."""
@@ -627,11 +667,12 @@ def _row_ends(t, wmin, b, s1, s2, best, *bufs):
     ta, tg = t[first], t[last]
     # the first nodes of the blocks are every b-th node
     s1a, s2a, s1g, s2g = s1[: first[-1] + 1 : b], s2[: first[-1] + 1 : b], s1[last], s2[last]
-    # b row blocks at a time, which fit in the row buffers
+    # the exact tests taken at a time, which fit in the row buffers
+    chunk = bufs[1].size // b
     for i0 in range(0, nb - 2, b):
         rows, js = slice(i0, min(i0 + b, nb - 2)), slice(i0 + 2, nb)
         shape = (rows.stop - rows.start, nb - js.start, cols)
-        ww, mu, v = (x.reshape(-1)[: math.prod(s)].reshape(s)
+        ww, mu, v = (x[: math.prod(s)].reshape(s)
                      for x, s in zip(bufs, (shape[:2] + (1,), shape, shape)))
         # bound = scale max(V_out + r, 0) + lift for the pair of blocks (I, J)
         l_out = tg[js] - ta[rows, None]
@@ -641,23 +682,75 @@ def _row_ends(t, wmin, b, s1, s2, best, *bufs):
         scale = l_out * inv
         lift = (slack[0][rows, None] + slack[1][js]) * inv + r
         # a block pair (I, J) with J < I + 2 reads junk, and one whose outer
-        # window is shorter than wmin holds no window that counts: both are
-        # set to -inf, which seeds nothing and leaves the bound at lift; the
-        # rows of I start past the end of such a J or read no pair of it
+        # window is shorter than wmin holds no window that counts: both seed
+        # nothing and are never read
+        live &= l_out >= wmin
         with np.errstate(all="ignore"):
             _window_var(tg[None, js, None], ta[rows, None, None], s1g[None, js], s1a[rows, None],
                         s2g[None, js], s2a[rows, None], ww, mu, v)
-            v[~(live & (l_out >= wmin))] = -np.inf
+            v[~live] = -np.inf
             np.fmax(best, np.maximum.reduce(v.reshape(-1, cols)), out=best)
             v += r[..., None]
             np.maximum(v, 0.0, out=v)
             v *= scale[..., None]
             v += lift[..., None]
-        # per row block, the last block J whose bound reaches the maximum of some column
-        reach = ~(v < best).all(axis=2)
-        end = last[js][shape[1] - 1 - np.argmax(reach[:, ::-1], axis=1)] + 1
-        stops = np.where(reach.any(axis=1), end, 0)
-        yield from zip(range(rows.start * b, rows.stop * b, b), stops.tolist())
+        # the block pairs and columns the bound leaves, then those the exact test leaves
+        ii, jj, cc = np.nonzero(~(v < best) & live[..., None])
+        keep = np.ones(ii.size, dtype=bool)
+        with np.errstate(all="ignore"):
+            for c0 in range(0, ii.size, chunk):
+                pick = slice(c0, c0 + chunk)
+                i, j, c = ii[pick], jj[pick] + js.start, cc[pick]
+                keep[pick] = ~_block_test(t, s1, s2, best[c] - r[i, j - js.start], r1, r2, b, c,
+                                          first[i + rows.start], first[j], last[j], bufs)
+        runs = np.zeros((shape[0], nb + 2), dtype=bool)
+        runs[ii[keep], jj[keep] + js.start + 1] = True
+        # per row block, the runs of column blocks it reads: a run starts and
+        # ends where a row of runs changes, so the changes of a row alternate
+        rr, kk = np.nonzero(runs[:, 1:] != runs[:, :-1])
+        starts, ends = kk[0::2], kk[1::2]
+        yield from zip(first[rows.start + rr[0::2]].tolist(), first[starts].tolist(),
+                       (last[ends - 1] + 1).tolist())
+
+
+def _block_test(t, s1, s2, beta, r1, r2, b, col, a, e, g, bufs):
+    """True where the exact test excludes column col of block pair ([a, a + b], [e, g]).
+
+    beta, col, a, e and g hold one entry per test, and the test and its
+    allowance are derived in _row_ends.  Q(a, i) over I and Q(e, j) over J
+    are formed in the row buffers, one (tests, b) array at a time; the last
+    block may be short, and its last node stands in for the nodes it lacks.
+    """
+    f, k = s1.shape[1], a.size
+    # s1 and s2 flat, so that node x of column col is entry x f + col
+    s1, s2 = s1.reshape(-1), s2.reshape(-1)
+    sa, sg = a * f + col, g * f + col
+    l_out = t[g] - t[a]
+    d1 = s1[sg] - s1[sa]
+    m = d1 / l_out
+    c = m * m - beta
+    m2 = 2.0 * m
+    q = ((s2[sg] - s2[sa]) - m2 * d1) + c * l_out
+    dbuf, qbuf = (x[: k * b].reshape(k, b) for x in bufs[1:])
+
+    def qs(x, y):
+        """Q(x, y) for the nodes y, (tests, b), in qbuf."""
+        sx, sy = x * f + col, y * f + col[:, None]
+        np.subtract(np.take(s1, sy, out=dbuf), s1[sx, None], out=dbuf)
+        np.subtract(np.take(s2, sy, out=qbuf), s2[sx, None], out=qbuf)
+        np.multiply(dbuf, m2[:, None], out=dbuf)
+        np.subtract(qbuf, dbuf, out=qbuf)
+        np.multiply(t[y] - t[x, None], c[:, None], out=dbuf)
+        return np.add(qbuf, dbuf, out=qbuf)
+
+    step = 1 + np.arange(b)
+    # Q(a, a) = 0 and Q(e, e) = 0 join the least and the largest
+    q -= np.minimum(qs(a, a[:, None] + step).min(axis=1), 0.0)
+    qj = qs(e, np.minimum(e[:, None] + step, g[:, None]))
+    q -= qj[:, -1]
+    q += np.maximum(qj.max(axis=1), 0.0)
+    eps = np.finfo(float).eps
+    return q < -17.0 * eps * (r2 + 2.0 * np.abs(m) * r1 + l_out * (m * m + np.abs(beta)))
 
 
 def prefix_integrals(f: PiecewiseFn, t):

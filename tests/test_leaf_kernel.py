@@ -359,6 +359,32 @@ def test_hessian_leaf_batch_evaluates_m_once_per_exponent(pair, monkeypatch):
     bellman.hessian_leaf_batch(pa, rows)
     assert calls == [pa.p, pa.r]
 
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0)])
+def test_gradient_batch_forms_the_envelopes_once(pair, monkeypatch):
+    # the margin test reads the envelopes the classification formed, so the
+    # transforms behind them run once per row, not twice; the gradients are
+    # the same bits as with the envelopes formed again
+    pa = Params(*pair)
+    rows = interior(pa, 250, seed=23)
+    want = gradient_batch(pa, rows)
+    calls = []
+    real = domain.envelope_batch
+
+    def counted(params, a1, x2):
+        calls.append(np.size(a1))
+        return real(params, a1, x2)
+
+    monkeypatch.setattr(domain, "envelope_batch", counted)
+    monkeypatch.setattr(bellman, "envelope_batch", counted)
+    got = gradient_batch(pa, rows)
+    assert calls == [len(rows)]
+    assert got.tobytes() == want.tobytes()
+    X = np.array(rows)
+    low, high = real(pa, np.abs(X[:, 0]), X[:, 1])
+    _, low2, high2 = domain.classify_envelopes(pa, X)
+    assert low2.tobytes() == low.tobytes() and high2.tobytes() == high.tobytes()
+
 OUTSIDE_TEXT = [
     ((1.0, 3.0, 1.0), (0.0, 1.2, 0.5), "x2 = 1.2 outside [x1^2, x1^2 + eps^2] = [0.0, 1.0]"),
     ((1.0, 3.0, 1.0), (0.0, 1.0, 99.0), "x3 = 99.0 outside the reachable interval [0.5, 1.0] at (0.0, 1.0)"),

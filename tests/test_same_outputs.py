@@ -1,0 +1,91 @@
+"""tools/same_outputs.py: two trees whose outputs differ by one ulp are told apart."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+
+# a package and a workload table small enough to run twice in a test; the
+# workload reads bmobell.value at every seed, an array of it and its evidence
+PACKAGE = """\
+import math
+
+def value(seed):
+    return {body}
+"""
+
+WORKLOADS = """\
+import numpy as np
+
+
+class Op:
+    def __init__(self, name, fn):
+        self.name, self.fn = name, fn
+
+
+class Tiny:
+    def __init__(self, B, seed, root):
+        self.B, self.seed = B, seed
+
+    def ops(self):
+        return [Op("value", lambda: self.B.value(self.seed)),
+                Op("array", lambda: np.full(3, self.B.value(self.seed)))]
+
+    def evidence(self, outs):
+        return {"twice": 2.0 * outs["value"]}
+
+
+WORKLOADS = {"tiny": Tiny}
+"""
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def fake_tree(root: Path, body: str) -> Path:
+    (root / "src" / "bmobell").mkdir(parents=True)
+    (root / "src" / "bmobell" / "__init__.py").write_text(PACKAGE.format(body=body))
+    (root / "src" / "bmobell" / "cli.py").write_text("")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
+    return root
+
+
+def test_equal_trees_agree(same_outputs, tmp_path, capsys):
+    a = fake_tree(tmp_path / "a", "0.1 * seed")
+    b = fake_tree(tmp_path / "b", "0.1 * seed")
+    assert same_outputs.compare_trees(a, b, tmp_path) == 0
+    assert capsys.readouterr().out.startswith(f"same: {len(same_outputs.SEEDS)} records")
+
+
+def test_a_one_ulp_difference_is_named(same_outputs, tmp_path, capsys):
+    # seed 15 alone reads one ulp higher in the change
+    a = fake_tree(tmp_path / "a", "0.1 * seed")
+    b = fake_tree(tmp_path / "b", "0.1 * seed if seed != 15 else math.nextafter(0.1 * seed, 2.0)")
+    assert same_outputs.compare_trees(a, b, tmp_path) == 1
+    assert capsys.readouterr().out == "differs: workload tiny, seed 15, operation value\n"
+
+
+def test_the_first_differing_operation_is_named(same_outputs):
+    # one ulp inside an array, then one in the evidence, under perfbench's same
+    spec = importlib.util.spec_from_file_location("perfbench_run", TOOL.parent.parent / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    up = math.nextafter(2.0, 3.0)
+    parent = [("tiny", 11, {"value": 1.0, "array": np.ones(3), "evidence": {"twice": 2.0}})]
+    change = [("tiny", 11, {"value": 1.0, "array": np.array([1.0, math.nextafter(1.0, 2.0), 1.0]),
+                            "evidence": {"twice": up}})]
+    assert same_outputs.first_difference(parent, change, run.same) == ("tiny", 11, "array")
+    change[0][2]["array"] = np.ones(3)
+    assert same_outputs.first_difference(parent, change, run.same) == ("tiny", 11, "evidence")
+    change[0][2]["evidence"] = {"twice": 2.0}
+    assert same_outputs.first_difference(parent, change, run.same) is None

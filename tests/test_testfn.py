@@ -344,13 +344,18 @@ def test_pair_scan_of_phi0_matches_the_double_loop():
 
 def scan_column(draw, t):
     """One column of prefix integrals at the nodes t of [0, 1]: a random step
-    function, or log pieces next to their singularity, at a random scale and
-    on a random offset."""
-    kind = draw(st.sampled_from(["steps", "log"]))
+    function, log pieces next to their singularity, or an exponential ladder,
+    near-extremal everywhere, at a random scale and on a random offset."""
+    kind = draw(st.sampled_from(["steps", "log", "ladder"]))
     if kind == "steps":
         cells = draw(st.integers(2, 80))
         vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=cells)
         f = testfn._step_fn(vals)
+    elif kind == "ladder":
+        # build_ladder's support [1/4, 3/4) of (-4, 5), moved onto [0, 1)
+        n = draw(st.sampled_from([2, 3, 4, 8]))
+        f = transfer(build_ladder(n, draw(st.floats(0.05, 0.5)), draw(st.integers(0, 3))),
+                     (-8.5, 9.5))
     else:
         # c1 ln t on [0, 1/2) and 0.3 - c1 ln(1 - t) on [1/2, 1): singular at 0 and 1
         c1 = draw(st.floats(0.2, 2.0))
@@ -394,13 +399,14 @@ def test_pair_scan_matches_the_row_loop_bit_for_bit(scan):
 def test_pair_scan_keeps_its_rounding_slack():
     # the first and the last block lie in clusters a few ulps wide, so every
     # window between them has the variance of the outer window up to
-    # rounding, and an offset makes that rounding larger than the geometric
-    # margin of the bound; a bound without its slack prunes and misreads
+    # rounding, and the two steps put that window near the largest variance;
+    # an offset makes the rounding larger than the geometric margin of the
+    # tests, and a bound or exact test without its slack prunes and misreads
     t = np.concatenate([0.125 + np.arange(9) * 2.0**-55, np.linspace(0.3, 0.7, 8),
                         0.875 - np.arange(9)[::-1] * 2.0**-53])
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        for offset in (1e2, 1e5, 1e6):
+        for offset in (1e2, 1e3, 1e4, 1e5, 1e6):
             vals = offset + rng.normal(size=(6, 2)) * 0.1 + [-1.0, 1.0]
             fns = [testfn._step_fn(v) for v in vals]
             s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
@@ -408,27 +414,78 @@ def test_pair_scan_keeps_its_rounding_slack():
             assert got.tobytes() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tobytes()
 
 
+def scan_nodes(f, levels):
+    """The nodes and prefix integrals bmo_norm scans f at."""
+    t = np.unique(np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()]))
+    return (t, *prefix_integrals(f, t))
+
+
+def count_pairs(monkeypatch):
+    """Patch testfn._window_var to count the pairs it reads; returns the running count."""
+    read = []
+    window_var = testfn._window_var
+
+    def counted(tj, ti, s1j, s1i, s2j, s2i, w, mu, v):
+        read.append(w.size)
+        return window_var(tj, ti, s1j, s1i, s2j, s2i, w, mu, v)
+
+    monkeypatch.setattr(testfn, "_window_var", counted)
+    return read
+
+
 def test_block_bound_leaves_few_rows_on_short_maximisers(monkeypatch):
     # the oracle's 64-cell draws on the 2^9 grid: their best windows are
-    # short, so the rows read only a small share of the pairs
+    # short, so the scan reads only a small share of the pairs, band, seeds
+    # and tiles counted alike
     edges = np.linspace(0.0, 1.0, 65)
     t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 513), edges]))
     fns = [testfn._step_fn(v) for v in random_step_values(range(48), 64, 1.0)]
     s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
     n = t.size
-    b = max(8, -(-(n - 1) // testfn._BLOCKS))
-    read = []
-    ends = testfn._row_ends
-
-    def counted(*args):
-        for lo, stop in ends(*args):
-            read.extend(max(0, stop - (i + 2 * b + 1)) for i in range(lo, min(lo + b, n - 1)))
-            yield lo, stop
-
-    monkeypatch.setattr(testfn, "_row_ends", counted)
+    read = count_pairs(monkeypatch)
     got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW)
     assert got.tolist() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tolist()
     assert sum(read) < 0.25 * n * (n - 1) / 2
+
+
+def test_block_tests_leave_few_pairs_on_a_ladder(monkeypatch):
+    # the ladder is near-extremal everywhere, so an outer-window bound
+    # excludes almost no block pair; the exact test still leaves most of them
+    f = build_ladder(4, 0.1, 5)
+    t, s1, s2 = scan_nodes(f, 6)
+    n = t.size
+    read = count_pairs(monkeypatch)
+    got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW * f.length)
+    assert got.hex() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * f.length).hex()
+    assert sum(read) < 0.40 * n * (n - 1) / 2
+
+
+@pytest.mark.parametrize("block_max", [testfn._BLOCK_MAX, 16])
+def test_pair_scan_reads_the_table_ladders_and_phi0_bit_for_bit(monkeypatch, block_max):
+    # build_ladder's table at levels 6 and phi0 at levels 12, as bmo_norm
+    # scans them, in the scan's own blocks and in blocks capped at 16 nodes,
+    # about 240 of them tested in 15 groups; on the ladders some row block
+    # reads two runs or more, so the tiles skip block pairs between the
+    # blocks they read
+    monkeypatch.setattr(testfn, "_BLOCK_MAX", block_max)
+    runs = []  # the first row of each run read, per scan
+    row_ends = testfn._row_ends
+
+    def recorded(*args):
+        for a, lo, stop in row_ends(*args):
+            runs[-1].append(a)
+            yield a, lo, stop
+
+    monkeypatch.setattr(testfn, "_row_ends", recorded)
+    table = [(4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3)]
+    for f, levels in [(build_ladder(*row), 6) for row in table] + [(optimizer_phi0(), 12)]:
+        t, s1, s2 = scan_nodes(f, levels)
+        wmin = testfn._MIN_WINDOW * f.length
+        runs.append([])
+        got = testfn._pair_scan(t, s1, s2, wmin)
+        assert type(got) is float
+        assert got.hex() == pair_scan_rows(t, s1, s2, wmin).hex()
+    assert max(len(scan) - len(set(scan)) for scan in runs[:-1]) >= 1
 
 
 def test_bmo_levels_guard():

@@ -1,0 +1,136 @@
+"""Run every benchmark operation on a parent commit and on this checkout, and compare the outputs.
+
+    python3 tools/same_outputs.py --parent REF
+
+The parent REF is extracted with ``git archive`` into a temporary
+directory, removed when the script ends, also on SIGTERM.  In each tree a
+fresh process imports bmobell from that tree's src/ and the workloads from
+its perfbench/, and for every workload and every seed in SEEDS runs each
+operation of one round once, then the workload's ``evidence`` on those
+outputs.  The change side is this checkout's working tree.  The outputs
+of the two trees are compared with perfbench/run.py's ``same``, exact
+equality of numbers, strings and arrays, in the order the workloads run
+them.  The script prints the first workload, seed and operation whose
+outputs differ and exits 1, or prints how many records agree and exits 0.
+It reads perfbench/ and writes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import importlib.util
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = tuple(range(11, 21))
+
+
+def plain(x):
+    """x with dataclasses, enums and object arrays spelled out, so a pickle of it loads without bmobell."""
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return (tuple if isinstance(x, tuple) else list)(plain(v) for v in x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return ("dataclass", type(x).__qualname__, plain(vars(x)))
+    if isinstance(x, enum.Enum):
+        return ("enum", type(x).__qualname__, x.name)
+    if getattr(x, "dtype", None) == object:
+        return ("array", x.shape, [plain(v) for v in x.ravel().tolist()])
+    return x
+
+
+def outcome(fn):
+    """fn()'s result, or the exception it raised, as a record."""
+    try:
+        return fn()
+    except Exception as exc:  # a raise is an output to compare like any other
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def collect(root: Path, out: Path):
+    """Every workload's outputs and evidence at every seed, from root's trees, pickled into out."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import bmobell
+    import bmobell.cli  # noqa: F401  (the scan workload drives the CLI)
+    from workloads import WORKLOADS
+
+    if Path(bmobell.__file__).resolve().parent != (root / "src" / "bmobell").resolve():
+        raise SystemExit(f"bmobell imported from {bmobell.__file__}, not from {root / 'src'}")
+    records = []
+    for name, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            wl = workload(bmobell, seed, root)
+            outs = {op.name: outcome(op.fn) for op in wl.ops()}
+            outs["evidence"] = outcome(lambda: wl.evidence(outs))
+            records.append((name, seed, plain(outs)))
+    out.write_bytes(pickle.dumps(records))
+
+
+def run_tree(root: Path, out: Path) -> list:
+    """collect in a fresh process for root, one BLAS thread as perfbench/run.py uses."""
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--collect", str(root), str(out)],
+                   cwd=root, env=env, check=True)
+    return pickle.loads(out.read_bytes())
+
+
+def first_difference(parent: list, change: list, same):
+    """(workload, seed, operation) of the first outputs that differ, or None."""
+    for (name, seed, a), (name2, seed2, b) in zip(parent, change):
+        if (name, seed) != (name2, seed2):
+            return name, seed, f"(the change ran {name2} at seed {seed2} here)"
+        for op in list(a) + [k for k in b if k not in a]:
+            if op not in a or op not in b or not same(a[op], b[op]):
+                return name, seed, op
+    if len(parent) != len(change):
+        return ("(record count)", None, f"{len(parent)} against {len(change)}")
+    return None
+
+
+def compare_trees(parent_root: Path, change_root: Path, tmp: Path) -> int:
+    """Collect both trees and compare them with perfbench's same; 1 on a difference."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    parent = run_tree(parent_root, tmp / "parent.pickle")
+    change = run_tree(change_root, tmp / "change.pickle")
+    diff = first_difference(parent, change, run.same)
+    if diff is not None:
+        workload, seed, op = diff
+        print(f"differs: workload {workload}, seed {seed}, operation {op}")
+        return 1
+    print(f"same: {len(parent)} records (workload, seed) of operations and evidence agree")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="git ref of the parent commit")
+    ap.add_argument("--collect", nargs=2, metavar=("ROOT", "OUT"), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.collect:
+        collect(Path(args.collect[0]), Path(args.collect[1]))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    # SIGTERM raises SystemExit, so the temporary directory is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive.stdout, check=True)
+        return compare_trees(parent_root, ROOT, Path(tmp))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
