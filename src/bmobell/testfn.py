@@ -14,12 +14,13 @@ cells.  Pieces are plain records, checked when they form a PiecewiseFn.
 The oscillation seminorm is computed on a dyadic grid refined by every
 piece breakpoint: prefix integrals at grid nodes are exact, so the scan
 over node pairs is exact on its candidate set and bounds the true
-seminorm from below.  The scan reads the pairs in blocks and skips the
-block pairs that an exact separable test, with allowances for rounding,
-proves cannot beat the maximum, so its reading is the maximum over every
-pair, bit for bit.  It reads about a seventh of the pairs on random step
-functions, a thirteenth on phi0 and a quarter on the near-extremal
-ladders, where the maximising windows are everywhere.
+seminorm from below.  The scan reads the pairs in blocks of 16 nodes and
+skips the block pairs that an exact separable test, with allowances for
+rounding, proves cannot beat the maximum, so its reading is the maximum
+over every pair, bit for bit.  It reads about an eighth of the pairs on
+random step functions, nearly all of them next to the diagonal, a
+fortieth on phi0 and a tenth on the near-extremal ladders, where the
+maximising windows are everywhere.
 """
 
 from __future__ import annotations
@@ -38,22 +39,26 @@ from .specfn import gamma_fn, rise_integral
 # inside the cells of a 64-cell draw
 _GEN_LEVELS = 9
 
-# draws per pair scan in random_step_values.  A tile reads every column of a
-# block pair that some column needs, so wider scans prune less; measured on
-# 2 vCPUs for 2,048 draws of 64 cells (median of 9): 0.75 s at 32 columns,
-# 0.64 s at 64, 0.55 s at 128, 0.57 s at 192, 0.53 s at 256, 0.59 s at 384
-# and 0.65 s at 512, with peak traced memory 2.2, 2.6, 4.1, 5.6, 7.1, 10.0
-# and 12.9 MB.  128 to 256 overlap in their quartiles, so 256 stays
-_SCAN_CHUNK = 256
+# draws per pair scan in random_step_values.  Each column reads only the
+# block pairs it needs, so width costs no pruning, but the band, the tables
+# and the groups grow with it; measured on 2 vCPUs for 2,048 draws of 64
+# cells (median of 11, in turn): 0.44 s at 32 columns, 0.37 s at 64, 0.35 s
+# at 96, 0.33 s at 128 and at 192, 0.36 s at 256, with peak traced memory
+# for 256 draws of 1.8, 2.6, 3.6, 4.7, 6.8 and 8.9 MB.  64 to 192 overlap in
+# their quartiles, so the smallest, 64, is kept
+_SCAN_CHUNK = 64
 
-# the pair scan cuts its nodes into about this many blocks for its block
-# tests, of at most _BLOCK_MAX nodes: on the 16,041-node ladder scan blocks
-# of 128 nodes took 150-190 ms where 251 took 260 ms, 64 took 210 ms and 96
-# took 200 ms (median of 7, 2 vCPUs), and scans up to 8,193 nodes keep 64
-_BLOCKS = 64
-_BLOCK_MAX = 128
+# nodes per block of the pair scan.  Against 16, in medians of 21
+# alternating in-process calls on 2 vCPUs, blocks of 20 took 1.00x the time
+# of the line workload's nine scans, 1.04x on 48 columns of draws and 1.11x
+# on 256; blocks of 24 took 0.97x, 1.14x and 1.24x
+_BLOCK = 16
 
-# values per tile of the pair scan: b rows by as many columns as fit, times F
+# values per batch of the pair scan: variances and bounds per group of block
+# tests, table entries per chunk of exact tests and windows per read.  At
+# 2^14 the scans of build_ladder(4, 0.1, 5) at levels 6 and of the 16,041-node
+# ladder took 1.06x and 1.12x the time; groups of _TILE pairs, not _TILE / 2,
+# ran as fast and raised that scan's traced peak from 2.9 to 3.7 MB
 _TILE = 2 ** 15
 
 # windows shorter than this fraction of the domain are dropped from the
@@ -490,50 +495,38 @@ def _pair_scan(t, s1, s2, wmin):
     one function, which gives a float, or (n, F) for F functions, one per
     column, which gives one reading per column.  Windows shorter than wmin
     are skipped.  Every variance the scan reads, in the band, the block
-    seeds and the tiles alike, comes from _window_var, and a pair is left
-    unread only where a test proves that it cannot beat the maximum, so on
-    finite prefix integrals, away from underflow and overflow, the reading
-    is the maximum over all pairs, bit for bit.
+    seeds and the block reads alike, comes from _window_var, and a pair is
+    left unread only where a test proves that it cannot beat the maximum,
+    so on finite prefix integrals, away from underflow and overflow, the
+    reading is the maximum over all pairs, bit for bit.
 
-    The nodes are cut into blocks of b = max(8, min(ceil((n-1)/_BLOCKS),
-    _BLOCK_MAX)) nodes, neighbours sharing an end node, and the scan takes
-    three steps:
+    The nodes are cut into blocks of b = _BLOCK nodes, neighbours sharing
+    an end node, the last block maybe shorter, and the scan takes two steps:
 
     * band: the pairs at most 2b nodes apart, one diagonal at a time, which
       hold every pair within a block or between neighbouring blocks;
-    * block tests: for a row block I and a block J >= I + 2, _row_ends
-      decides whether some window from I to J can beat the maximum, and
-      the variance of the window from the first node of I to the last of
-      J seeds it;
-    * tiles: the b rows of each row block read the runs of column blocks
-      that pass, as 2-D tiles of rows by columns by F of about _TILE
-      values, one _window_var call per tile.  A tile whose shortest window
-      is below wmin masks its short windows with its own w.  The pairs a
-      tile reads next to the diagonal are band pairs read again, with the
-      same bits.
+    * blocks: _block_pairs tests every block pair J >= I + 2 and reads the
+      pairs of those that pass.
 
     A NaN variance, which only an overflow in the prefix integrals makes,
-    takes its column of the diagonal or tile it is in out of the maximum:
-    the reduction passes it on, and np.fmax drops it.
+    takes its column of the diagonal, or its block pair and column, out of
+    the maximum: the reduction passes it on, and np.fmax drops it.
 
     The gain rests on the tests excluding most block pairs.  Counting the
-    band, the seeds and the tiles, the scan reads about 14% of the pairs
-    on the oracle's 64-cell draws over the 2^9 grid at 48 columns and 19%
-    at 256, 8% on phi0 at levels 12, 24-28% on the ladders of
-    build_ladder's table at levels 6 and 12% on the 16,041-node ladder of
-    depth 6 at levels 10, where the outer-window bound alone left nearly
-    all of them.
+    band, the seeds and the reads, and a pair read in one of F columns as
+    1/F of a pair, the scan reads about 13% of the pairs on the oracle's
+    64-cell draws over the 2^9 grid, 12% of them in the band, 2.5% on phi0
+    at levels 12, 10-11% on the ladders of build_ladder's table at levels 6
+    (19% on the 1,745 nodes of (8, 0.3, 3)) and 2.7% on the 16,041-node
+    ladder of depth 6 at levels 10, where the outer-window bound alone left
+    nearly all of them.
     """
     n = t.size
     cols = s1.shape[1:]
     best = np.zeros(cols)
-    b = max(8, min(-(-(n - 1) // _BLOCKS), _BLOCK_MAX))
-    f = math.prod(cols)
-    # columns per tile of b rows
-    step = max(1, _TILE // (b * f))
-    # one flat store per buffer, shared by the band, the block tests and the tiles
-    size = max(n - 1, b * step) * f
-    wflat, mflat, vflat = np.empty(size // f), np.empty(size), np.empty(size)
+    b, f = _BLOCK, math.prod(cols)
+    # one flat store per buffer, shared by the band, the block tests and the reads
+    wflat, mflat, vflat = (np.empty(max((n - 1) * k, _TILE)) for k in (1, f, f))
     tw = t.reshape((n,) + (1,) * len(cols))
     wbuf = wflat[: n - 1].reshape((n - 1,) + (1,) * len(cols))
     mbuf = mflat[: (n - 1) * f].reshape((n - 1,) + cols)
@@ -547,41 +540,36 @@ def _pair_scan(t, s1, s2, wmin):
             np.fmax(best, v.max(axis=0, where=wbuf[:m] >= wmin, initial=-np.inf), out=best)
         else:
             np.fmax(best, np.maximum.reduce(v), out=best)
-    # the block tests and the tiles see every input as (n, F), in C order
-    s1, s2 = np.ascontiguousarray(s1.reshape(n, f)), np.ascontiguousarray(s2.reshape(n, f))
-    top = best.reshape(f)
-    tn = t.reshape(n, 1)
-    for a, lo, stop in _row_ends(t, wmin, b, s1, s2, top, wflat, mflat, vflat):
-        ti, s1i, s2i = tn[a : a + b, None], s1[a : a + b, None], s2[a : a + b, None]
-        for j0 in range(lo, stop, step):
-            j1 = min(j0 + step, stop)
-            k = b * (j1 - j0)
-            w = wflat[:k].reshape(b, j1 - j0, 1)
-            v = _window_var(tn[None, j0:j1], ti, s1[None, j0:j1], s1i, s2[None, j0:j1], s2i,
-                            w, mflat[: k * f].reshape(b, -1, f), vflat[: k * f].reshape(b, -1, f))
-            if t[j0] - t[a + b - 1] < wmin:
-                np.fmax(top, v.max(axis=(0, 1), where=w >= wmin, initial=-np.inf), out=top)
-            else:
-                np.fmax(top, np.maximum.reduce(v.reshape(-1, f)), out=top)
+    if n - 1 > 2 * b:
+        # the block steps see every input as (n, F), in C order
+        s1, s2 = (np.ascontiguousarray(s.reshape(n, f)) for s in (s1, s2))
+        _block_pairs(t, s1, s2, wmin, best.reshape(f), wflat, mflat, vflat)
     return best if cols else float(best)
 
 
-def _row_ends(t, wmin, b, s1, s2, best, *bufs):
-    """(first row, first column, stop) per run of column blocks a row block reads.
+def _block_pairs(t, s1, s2, wmin, best, *bufs):
+    """Raise best, per column, to the largest variance of the pairs from block I to J >= I + 2.
 
-    The b rows of a row block, from its first node on, read the columns
-    from the first node of a run up to, not including, stop.  Block pairs
-    are tested b row blocks at a time, against the maximum after every
-    earlier run and the seeds of the group: first the outer-window bound
-    on all of the group's pairs, in the row buffers, which they fit since
-    b (K - 2) < n - 1 for K blocks, then the exact test on the pairs and
-    columns that bound leaves, in chunks that fit the same buffers.  So
-    the tests add to the scan's memory mainly the K*F values of s1 and s2
-    at the ends of the blocks, F the column count.
+    Blocks are [first, last] = [kb, min(kb + b, n - 1)], b = _BLOCK.  Once
+    per scan, tables hold the differences of t, s1 and s2 from each block's
+    first node to its next b nodes, as (b, blocks[, F]), the last block's
+    last node standing in for the nodes it lacks.  The block pairs are then
+    taken in groups of consecutive row blocks, about _TILE / 2F pairs each,
+    against the maximum after every earlier group:
 
-    The test.  Take a row block I = [a, c] and a block J = [e, g] with
-    J >= I + 2, and read s1, s2 and t as exact reals.  For a mean m and a
-    level beta write
+    * seeds: the variance of each pair's outer window, from the first node
+      of I to the last of J, raises the maximum;
+    * bound: the outer-window bound tests every pair and column;
+    * exact test: _block_test takes what the bound leaves, _TILE / b tests
+      at a time, each a gather along the block axis of the tables;
+    * reads: each pair and column that passes both reads its b rows against
+      J's b + 1 nodes by gather, about _TILE values per _window_var call.
+      A batch whose shortest window is below wmin masks its short windows
+      with their own w.  Node e, the first of J, is I + 1's last node, read
+      again with the same bits.
+
+    The exact test.  Take I = [a, c] and J = [e, g], read s1, s2 and t as
+    exact reals, and for a mean m and a level beta write
 
         Q(x, y) = (s2_y - s2_x) - 2m (s1_y - s1_x) + (m^2 - beta)(t_y - t_x).
 
@@ -595,12 +583,12 @@ def _row_ends(t, wmin, b, s1, s2, best, *bufs):
     and S < 0 proves V(i, j) < beta for every such pair.  The scan takes m
     the mean of [a, g] and beta = best - r, where r = 5 eps (R2/L_in +
     (R1/L_in)^2), eps = 2u = 2^-52, R1 and R2 the largest ranges of s1 and
-    s2 over the nodes in any column and L_in = t_e - t_c.  Each of the six
-    operations of _window_var rounds once, so away from underflow a
-    computed variance is within 9u (|D2|/w + (D1/w)^2) of V, D1, D2 and w
-    the differences of s1, s2 and t; for a window from I to J, w >= L_in,
-    that is below 0.9 r, and S < 0 leaves every variance computed from I
-    to J below best - r + 0.9 r, under best.
+    s2 over the nodes in any column and L_in = t_e - t_c, the gap between
+    the blocks.  Each of the six operations of _window_var rounds once, so
+    away from underflow a computed variance is within 9u (|D2|/w + (D1/w)^2)
+    of V, D1, D2 and w the differences of s1, s2 and t; for a window from I
+    to J, w >= L_in, that is below 0.9 r, and S < 0 leaves every variance
+    computed from I to J below best - r + 0.9 r, under best.
 
     The outer-window bound is the same test with the two minima bounded
     from below.  The least value of Q(a, i) over m is -(D1^2/L - D2), D1,
@@ -612,143 +600,152 @@ def _row_ends(t, wmin, b, s1, s2, best, *bufs):
 
         bound = (L_out max(V(a, g), 0) + P_I + R_J) / L_in < beta,
 
-    L_out = t_g - t_a.  It needs only the K*F outer windows, so it comes
-    first.  In floating point it is read with V_out, the computed variance
-    of [a, g], as (L_out max(V_out + r, 0) + P_I + R_J) / L_in + r < best,
-    which beta < 0 never meets: P_I and R_J, taken as their largest value
-    over the columns, have (1 + 4 eps) on D1^2/L for its four roundings,
-    then (1 + 2 eps) on their largest value and 4 eps R2 for the roundings
-    of D1^2/L - D2; the bound has (1 + 8 eps) for the roundings of its
-    nonnegative terms, about ten.
+    L_out = t_g - t_a.  It needs only the outer windows, so it comes first.
+    In floating point it is read with V_out, the computed variance of [a, g],
+    as (L_out max(V_out + r, 0) + P_I + R_J) / L_in + r < best, which
+    beta < 0 never meets: P_I and R_J, taken as their largest value over the
+    columns, have (1 + 4 eps) on D1^2/L for its four roundings, then (1 + 2
+    eps) on their largest value and 4 eps R2 for the roundings of D1^2/L -
+    D2; the bound has (1 + 8 eps) for the roundings of its nonnegative
+    terms, about ten.
 
     The exact test is read in floating point as S < -A.  Every Q is formed
     as (D2 - (2m) D1) + c L, c = m^2 - beta from the computed m and beta,
-    D1, D2 and L each one rounded difference.  Against the same sum in
-    exact arithmetic with beta = best - r exactly, it is within u (3 R2 +
-    8 |m| R1 + 6 L_out (m^2 + |beta|)), since every window lies inside
-    [a, g]; S is formed as ((Q(a, g) - min_I Q(a, i)) - Q(e, g)) + max_J
-    Q(e, j), with min_J Q(j, g) = Q(e, g) - max_J Q(e, j), so its four Q
-    and three sums are within 21u R2 + 50u |m| R1 + 33u L_out (m^2 +
-    |beta|), below
+    D1, D2 and L each one rounded difference, a table entry for Q(a, i) and
+    Q(e, j).  Against the same sum in exact arithmetic with beta = best - r
+    exactly, it is within u (3 R2 + 8 |m| R1 + 6 L_out (m^2 + |beta|)),
+    since every window lies inside [a, g]; S is formed as ((Q(a, g) - min_I
+    Q(a, i)) - Q(e, g)) + max_J Q(e, j), with min_J Q(j, g) = Q(e, g) -
+    max_J Q(e, j), so its four Q and three sums are within 21u R2 + 50u |m|
+    R1 + 33u L_out (m^2 + |beta|), below
 
         A = 17 eps (R2 + 2 |m| R1 + L_out (m^2 + |beta|)),
 
-    which leaves room for A's own roundings.  A block pair is read where
-    some column passes both tests; one whose outer window is shorter than
-    wmin holds no window that counts and is never read.  A NaN bound or
-    test, which only an overflow makes, counts as reaching.
+    which leaves room for A's own roundings.  A block pair whose outer
+    window is shorter than wmin holds no window that counts and is never
+    read.  A NaN bound or test, which only an overflow makes, counts as
+    reaching.
     """
-    n, cols = s1.shape
+    n, f = s1.shape
+    b = _BLOCK
     nb = -(-(n - 1) // b)
-    if nb <= 2:
-        return
     eps = np.finfo(float).eps
     first = np.arange(nb) * b
     last = np.minimum(first + b, n - 1)
     r1, r2 = np.ptp(s1, axis=0).max(), np.ptp(s2, axis=0).max()
-    w, d, p = (x[: (n - 1) * k].reshape(n - 1, k) for x, k in zip(bufs, (1, cols, cols)))
 
-    def spans(s, anchor, left, out):
-        """s over the windows [anchor, k + 1] (left) or [k, anchor], k = 0 .. n-2, into out."""
-        np.take(s, anchor, axis=0, out=out, mode="clip")
-        return np.subtract(s[1:], out, out=out) if left else np.subtract(out, s[:-1], out=out)
+    def excess(e1, e2, et):
+        """max(0, largest D1^2/L - D2 per block) with its rounding allowance."""
+        p = np.divide(e1, et[..., None])
+        p *= e1
+        p *= 1.0 + 4.0 * eps
+        p -= e2
+        return np.maximum(p.max(axis=(0, 2)), 0.0) * (1.0 + 2.0 * eps) + 4.0 * eps * r2
 
-    # P_I over the windows [a, k + 1] ending in block I, R_J over [k, g] starting in J
-    slack = []
-    for anchor, left in ((np.repeat(first, b)[: n - 1], True),
-                         (np.repeat(last, b)[: n - 1], False)):
-        spans(t[:, None], anchor, left, w)
-        np.divide(spans(s1, anchor, left, d), w, out=p)
-        np.multiply(p, d, out=p)
-        np.multiply(p, 1.0 + 4.0 * eps, out=p)
-        np.subtract(p, spans(s2, anchor, left, d), out=p)
-        top = np.maximum.reduceat(np.maximum.reduce(p, axis=1), first)
-        slack.append(np.maximum(top, 0.0) * (1.0 + 2.0 * eps) + 4.0 * eps * r2)
-    ta, tg = t[first], t[last]
-    # the first nodes of the blocks are every b-th node
-    s1a, s2a, s1g, s2g = s1[: first[-1] + 1 : b], s2[: first[-1] + 1 : b], s1[last], s2[last]
-    # the exact tests taken at a time, which fit in the row buffers
-    chunk = bufs[1].size // b
-    for i0 in range(0, nb - 2, b):
-        rows, js = slice(i0, min(i0 + b, nb - 2)), slice(i0 + 2, nb)
-        shape = (rows.stop - rows.start, nb - js.start, cols)
-        ww, mu, v = (x[: math.prod(s)].reshape(s)
-                     for x, s in zip(bufs, (shape[:2] + (1,), shape, shape)))
-        # bound = scale max(V_out + r, 0) + lift for the pair of blocks (I, J)
+    # R_J over the windows [j, g], j = e .. g - 1
+    node = np.minimum(first + np.arange(b)[:, None], last - 1)
+    d1, d2 = s1[node], s2[node]
+    slack_j = excess(np.subtract(s1[last], d1, out=d1), np.subtract(s2[last], d2, out=d2),
+                     t[last] - t[node])
+    # the tables, (b, nb) for t and (b, nb, F) for s1 and s2, and P_I over their windows [a, i]
+    node = np.minimum(first + np.arange(1, b + 1)[:, None], last)
+    tt = t[node] - t[first]
+    np.subtract(s1[node], s1[first], out=d1)
+    np.subtract(s2[node], s2[first], out=d2)
+    slack_i = excess(d1, d2, tt)
+    d1, d2 = d1.reshape(b, nb * f), d2.reshape(b, nb * f)
+    s1f, s2f = s1.reshape(-1), s2.reshape(-1)
+    ta, tc, tg = t[first], t[last[:-2]], t[last]
+    s1a, s2a, s1g, s2g = s1[first], s2[first], s1[last], s2[last]
+    group, chunk, batch = max(1, _TILE // (2 * f)), _TILE // b, _TILE // (b * (b + 1))
+    span = np.arange(b + 1)
+    i0 = 0
+    while i0 < nb - 2:
+        # row blocks i0 .. i1 - 1 against blocks js, as a rectangle of about group pairs
+        js = slice(i0 + 2, nb)
+        i1 = min(nb - 2, i0 + max(1, group // (nb - js.start)))
+        rows = slice(i0, i1)
+        shape = (i1 - i0, nb - js.start)
+        w, mu, v = (x[: math.prod(shape) * y].reshape(shape + (y,)) for x, y in zip(bufs, (1, f, f)))
         l_out = tg[js] - ta[rows, None]
-        live = np.arange(js.start, nb) >= np.arange(rows.start, rows.stop)[:, None] + 2
-        inv = (1.0 + 8.0 * eps) / np.where(live, ta[js] - tg[rows, None], 1.0)
+        live = np.arange(js.start, nb) >= np.arange(i0, i1)[:, None] + 2
+        inv = (1.0 + 8.0 * eps) / np.where(live, ta[js] - tc[rows, None], 1.0)
         r = 5.0 * eps * (r2 * inv + (r1 * inv) ** 2)
-        scale = l_out * inv
-        lift = (slack[0][rows, None] + slack[1][js]) * inv + r
         # a block pair (I, J) with J < I + 2 reads junk, and one whose outer
         # window is shorter than wmin holds no window that counts: both seed
         # nothing and are never read
         live &= l_out >= wmin
         with np.errstate(all="ignore"):
             _window_var(tg[None, js, None], ta[rows, None, None], s1g[None, js], s1a[rows, None],
-                        s2g[None, js], s2a[rows, None], ww, mu, v)
+                        s2g[None, js], s2a[rows, None], w, mu, v)
             v[~live] = -np.inf
-            np.fmax(best, np.maximum.reduce(v.reshape(-1, cols)), out=best)
+            np.fmax(best, np.maximum.reduce(v.reshape(-1, f)), out=best)
+            # bound = L_out / L_in max(V_out + r, 0) + (P_I + R_J) / L_in + r
             v += r[..., None]
             np.maximum(v, 0.0, out=v)
-            v *= scale[..., None]
-            v += lift[..., None]
-        # the block pairs and columns the bound leaves, then those the exact test leaves
+            v *= (l_out * inv)[..., None]
+            v += ((slack_i[rows, None] + slack_j[js]) * inv + r)[..., None]
         ii, jj, cc = np.nonzero(~(v < best) & live[..., None])
-        keep = np.ones(ii.size, dtype=bool)
+        keep = np.zeros(shape + (f,), dtype=bool)
         with np.errstate(all="ignore"):
             for c0 in range(0, ii.size, chunk):
-                pick = slice(c0, c0 + chunk)
-                i, j, c = ii[pick], jj[pick] + js.start, cc[pick]
-                keep[pick] = ~_block_test(t, s1, s2, best[c] - r[i, j - js.start], r1, r2, b, c,
-                                          first[i + rows.start], first[j], last[j], bufs)
-        runs = np.zeros((shape[0], nb + 2), dtype=bool)
-        runs[ii[keep], jj[keep] + js.start + 1] = True
-        # per row block, the runs of column blocks it reads: a run starts and
-        # ends where a row of runs changes, so the changes of a row alternate
-        rr, kk = np.nonzero(runs[:, 1:] != runs[:, :-1])
-        starts, ends = kk[0::2], kk[1::2]
-        yield from zip(first[rows.start + rr[0::2]].tolist(), first[starts].tolist(),
-                       (last[ends - 1] + 1).tolist())
+                i, j, c = ii[c0 : c0 + chunk], jj[c0 : c0 + chunk], cc[c0 : c0 + chunk]
+                out = _block_test(t, s1f, s2f, f, tt, d1, d2, best[c] - r[i, j], r1, r2, c,
+                                  i + i0, j + js.start, first, last, bufs[1:])
+                keep[i[~out], j[~out], c[~out]] = True
+        # the first nodes of the blocks I and J of each pair and column to read
+        ri, rj, rc = np.nonzero(keep)
+        ri, rj, i0 = first[ri + i0], first[rj + js.start], i1
+        for c0 in range(0, ri.size, batch):
+            pick = slice(c0, c0 + batch)
+            k, c = ri[pick].size, rc[pick]
+            # rows x of I and nodes y of J, (b, k) and (b + 1, k), and their entries in s1f, s2f
+            x = ri[pick] + span[:-1, None]
+            y = np.minimum(rj[pick] + span[:, None], n - 1)
+            xs, ys = x * f + c, y * f + c
+            w, mu, v = (z[: k * b * (b + 1)].reshape(b, b + 1, k) for z in bufs)
+            _window_var(t[y], t[x][:, None], s1f[ys], s1f[xs][:, None], s2f[ys], s2f[xs][:, None],
+                        w, mu, v)
+            v = v.reshape(-1, k)
+            if (t[y[0]] - t[x[-1]] < wmin).any():
+                v = v.max(axis=0, where=w.reshape(-1, k) >= wmin, initial=-np.inf)
+            else:
+                v = np.maximum.reduce(v)
+            np.fmax.at(best, c, v)
 
 
-def _block_test(t, s1, s2, beta, r1, r2, b, col, a, e, g, bufs):
-    """True where the exact test excludes column col of block pair ([a, a + b], [e, g]).
+def _block_test(t, s1, s2, f, tt, d1, d2, beta, r1, r2, c, bi, bj, first, last, bufs):
+    """True where the exact test excludes column c of block pair (bi, bj).
 
-    beta, col, a, e and g hold one entry per test, and the test and its
-    allowance are derived in _row_ends.  Q(a, i) over I and Q(e, j) over J
-    are formed in the row buffers, one (tests, b) array at a time; the last
-    block may be short, and its last node stands in for the nodes it lacks.
+    beta, c, bi and bj hold one entry per test, s1 and s2 are flat, node x
+    of column c at x f + c, and tt, d1 and d2 are the tables; the test and
+    its allowance are derived in _block_pairs.  Q(a, i) over I and Q(e, j)
+    over J are formed as (b, tests) arrays from the tables.
     """
-    f, k = s1.shape[1], a.size
-    # s1 and s2 flat, so that node x of column col is entry x f + col
-    s1, s2 = s1.reshape(-1), s2.reshape(-1)
-    sa, sg = a * f + col, g * f + col
+    a, g = first[bi], last[bj]
+    sa, sg = a * f + c, g * f + c
     l_out = t[g] - t[a]
-    d1 = s1[sg] - s1[sa]
-    m = d1 / l_out
-    c = m * m - beta
+    e1 = s1[sg] - s1[sa]
+    m = e1 / l_out
+    cq = m * m - beta
     m2 = 2.0 * m
-    q = ((s2[sg] - s2[sa]) - m2 * d1) + c * l_out
-    dbuf, qbuf = (x[: k * b].reshape(k, b) for x in bufs[1:])
+    q = ((s2[sg] - s2[sa]) - m2 * e1) + cq * l_out
+    out, tmp = (x[: tt.shape[0] * c.size].reshape(-1, c.size) for x in bufs)
 
-    def qs(x, y):
-        """Q(x, y) for the nodes y, (tests, b), in qbuf."""
-        sx, sy = x * f + col, y * f + col[:, None]
-        np.subtract(np.take(s1, sy, out=dbuf), s1[sx, None], out=dbuf)
-        np.subtract(np.take(s2, sy, out=qbuf), s2[sx, None], out=qbuf)
-        np.multiply(dbuf, m2[:, None], out=dbuf)
-        np.subtract(qbuf, dbuf, out=qbuf)
-        np.multiply(t[y] - t[x, None], c[:, None], out=dbuf)
-        return np.add(qbuf, dbuf, out=qbuf)
+    def qs(blk):
+        """Q from block blk's first node to its next b nodes, (b, tests), in out."""
+        col = blk * f + c
+        np.take(d2, col, axis=1, out=out, mode="clip")
+        np.multiply(np.take(d1, col, axis=1, out=tmp, mode="clip"), m2, out=tmp)
+        np.subtract(out, tmp, out=out)
+        np.multiply(np.take(tt, blk, axis=1, out=tmp, mode="clip"), cq, out=tmp)
+        return np.add(out, tmp, out=out)
 
-    step = 1 + np.arange(b)
     # Q(a, a) = 0 and Q(e, e) = 0 join the least and the largest
-    q -= np.minimum(qs(a, a[:, None] + step).min(axis=1), 0.0)
-    qj = qs(e, np.minimum(e[:, None] + step, g[:, None]))
-    q -= qj[:, -1]
-    q += np.maximum(qj.max(axis=1), 0.0)
+    q -= np.minimum(np.minimum.reduce(qs(bi)), 0.0)
+    qj = qs(bj)
+    q -= qj[-1]
+    q += np.maximum(np.maximum.reduce(qj), 0.0)
     eps = np.finfo(float).eps
     return q < -17.0 * eps * (r2 + 2.0 * np.abs(m) * r1 + l_out * (m * m + np.abs(beta)))
 

@@ -51,9 +51,39 @@ def same_outputs():
     return mod
 
 
-def fake_tree(root: Path, body: str) -> Path:
+# the calls behind the scan readings: a function is its arguments, and
+# bmo_norm reads {bmo}
+SCANS = """
+
+def build_ladder(n, h, depth):
+    return ("ladder", n, h, depth)
+
+
+def optimizer_phi0():
+    return ("phi0",)
+
+
+def optimizer_uplus(eps, u):
+    return ("uplus", eps, u)
+
+
+def optimizer_uminus(eps, u):
+    return ("uminus", eps, u)
+
+
+def bmo_norm(f, levels):
+    return {bmo}
+
+
+def random_step_values(seeds, cells, eps):
+    return [[eps * (s % 7) for s in seeds[:3]]] * cells
+"""
+
+
+def fake_tree(root: Path, body: str, bmo: str | None = None) -> Path:
     (root / "src" / "bmobell").mkdir(parents=True)
-    (root / "src" / "bmobell" / "__init__.py").write_text(PACKAGE.format(body=body))
+    package = PACKAGE.format(body=body) + ("" if bmo is None else SCANS.format(bmo=bmo))
+    (root / "src" / "bmobell" / "__init__.py").write_text(package)
     (root / "src" / "bmobell" / "cli.py").write_text("")
     (root / "perfbench").mkdir()
     (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
@@ -73,6 +103,19 @@ def test_a_one_ulp_difference_is_named(same_outputs, tmp_path, capsys):
     b = fake_tree(tmp_path / "b", "0.1 * seed if seed != 15 else math.nextafter(0.1 * seed, 2.0)")
     assert same_outputs.compare_trees(a, b, tmp_path) == 1
     assert capsys.readouterr().out == "differs: workload tiny, seed 15, operation value\n"
+
+
+def test_a_one_ulp_difference_in_a_scan_reading_is_named(same_outputs, tmp_path, capsys):
+    # the workloads agree, and the ladder one level below (4, 0.2, 5) reads
+    # one ulp higher at levels 10 in the change
+    flat = "0.5 + 0.01 * levels"
+    a = fake_tree(tmp_path / "a", "0.1 * seed", flat)
+    b = fake_tree(tmp_path / "b", "0.1 * seed",
+                  f"math.nextafter({flat}, 2.0) if (f, levels) == (('ladder', 4, 0.2, 6), 10) else {flat}")
+    assert same_outputs.compare_trees(a, a, tmp_path) == 0
+    assert capsys.readouterr().out.endswith(", and 38 scan readings\n")
+    assert same_outputs.compare_trees(a, b, tmp_path) == 1
+    assert capsys.readouterr().out == "differs: scan reading bmo_norm(build_ladder(4, 0.2, 6), 10)\n"
 
 
 def test_the_first_differing_operation_is_named(same_outputs):

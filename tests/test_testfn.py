@@ -1,6 +1,7 @@
 """Piecewise test functions: exact moments, oscillation norm, rearrangements."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,13 +398,16 @@ def test_pair_scan_matches_the_row_loop_bit_for_bit(scan):
 
 
 def test_pair_scan_keeps_its_rounding_slack():
-    # the first and the last block lie in clusters a few ulps wide, so every
-    # window between them has the variance of the outer window up to
-    # rounding, and the two steps put that window near the largest variance;
-    # an offset makes the rounding larger than the geometric margin of the
-    # tests, and a bound or exact test without its slack prunes and misreads
-    t = np.concatenate([0.125 + np.arange(9) * 2.0**-55, np.linspace(0.3, 0.7, 8),
-                        0.875 - np.arange(9)[::-1] * 2.0**-53])
+    # the first two and the last two blocks lie in clusters a few ulps wide,
+    # of 2b + 1 nodes each, so every window between them has the variance of
+    # the outer window up to rounding, and the two steps put that window
+    # near the largest variance; an offset makes the rounding larger than
+    # the geometric margin of the tests, and a bound or exact test without
+    # its slack prunes and misreads
+    k = 2 * testfn._BLOCK + 1
+    t = np.concatenate([0.125 + np.arange(k) * 2.0**-55, np.linspace(0.3, 0.7, 8),
+                        0.875 - np.arange(k)[::-1] * 2.0**-53])
+    assert np.all(np.diff(t) > 0.0)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         for offset in (1e2, 1e3, 1e4, 1e5, 1e6):
@@ -421,12 +425,17 @@ def scan_nodes(f, levels):
 
 
 def count_pairs(monkeypatch):
-    """Patch testfn._window_var to count the pairs it reads; returns the running count."""
+    """Patch testfn._window_var to count the variances it forms; returns the running count.
+
+    A pair read in every one of F columns counts F times, and a pair read
+    in one column once, so the count is the pairs read times the columns
+    they are read in.
+    """
     read = []
     window_var = testfn._window_var
 
     def counted(tj, ti, s1j, s1i, s2j, s2i, w, mu, v):
-        read.append(w.size)
+        read.append(v.size)
         return window_var(tj, ti, s1j, s1i, s2j, s2i, w, mu, v)
 
     monkeypatch.setattr(testfn, "_window_var", counted)
@@ -435,8 +444,8 @@ def count_pairs(monkeypatch):
 
 def test_block_bound_leaves_few_rows_on_short_maximisers(monkeypatch):
     # the oracle's 64-cell draws on the 2^9 grid: their best windows are
-    # short, so the scan reads only a small share of the pairs, band, seeds
-    # and tiles counted alike
+    # short, so the scan reads only a small share of the pairs of its 48
+    # columns, band, seeds and block reads counted alike
     edges = np.linspace(0.0, 1.0, 65)
     t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 513), edges]))
     fns = [testfn._step_fn(v) for v in random_step_values(range(48), 64, 1.0)]
@@ -445,47 +454,56 @@ def test_block_bound_leaves_few_rows_on_short_maximisers(monkeypatch):
     read = count_pairs(monkeypatch)
     got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW)
     assert got.tolist() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tolist()
-    assert sum(read) < 0.25 * n * (n - 1) / 2
+    assert sum(read) < 0.25 * len(fns) * n * (n - 1) / 2
 
 
 def test_block_tests_leave_few_pairs_on_a_ladder(monkeypatch):
     # the ladder is near-extremal everywhere, so an outer-window bound
-    # excludes almost no block pair; the exact test still leaves most of them
+    # excludes almost no block pair; the exact test excludes most of them
     f = build_ladder(4, 0.1, 5)
     t, s1, s2 = scan_nodes(f, 6)
     n = t.size
     read = count_pairs(monkeypatch)
     got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW * f.length)
     assert got.hex() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * f.length).hex()
-    assert sum(read) < 0.40 * n * (n - 1) / 2
+    assert sum(read) < 0.15 * n * (n - 1) / 2
 
 
-@pytest.mark.parametrize("block_max", [testfn._BLOCK_MAX, 16])
-def test_pair_scan_reads_the_table_ladders_and_phi0_bit_for_bit(monkeypatch, block_max):
+def test_pair_scan_memory_stays_small():
+    # peak traced memory of a 16,041-node scan and of 256 draws in chunks of
+    # _SCAN_CHUNK columns; the scan's buffers, tables and groups are bounded
+    # by _TILE, so neither grows with the number of block pairs
+    f = build_ladder(4, 0.1, 6)
+    peaks = []
+    for call in (lambda: bmo_norm(f, 10), lambda: random_step_values(range(256), 64, 1.0)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4e6
+    assert peaks[1] < 6e6
+
+
+@pytest.mark.parametrize("tile", [testfn._TILE, 1024])
+def test_pair_scan_reads_the_table_ladders_and_phi0_bit_for_bit(monkeypatch, tile):
     # build_ladder's table at levels 6 and phi0 at levels 12, as bmo_norm
-    # scans them, in the scan's own blocks and in blocks capped at 16 nodes,
-    # about 240 of them tested in 15 groups; on the ladders some row block
-    # reads two runs or more, so the tiles skip block pairs between the
-    # blocks they read
-    monkeypatch.setattr(testfn, "_BLOCK_MAX", block_max)
-    runs = []  # the first row of each run read, per scan
-    row_ends = testfn._row_ends
-
-    def recorded(*args):
-        for a, lo, stop in row_ends(*args):
-            runs[-1].append(a)
-            yield a, lo, stop
-
-    monkeypatch.setattr(testfn, "_row_ends", recorded)
+    # scans them, in the scan's own batches and in batches of 1,024 values:
+    # 14 to 67 row groups of block tests per ladder, chunks of 64 exact
+    # tests and reads of 3 block pairs; all but the (8, 0.3, 3) ladder end
+    # in a short block
+    monkeypatch.setattr(testfn, "_TILE", tile)
     table = [(4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3)]
+    short = []
     for f, levels in [(build_ladder(*row), 6) for row in table] + [(optimizer_phi0(), 12)]:
         t, s1, s2 = scan_nodes(f, levels)
         wmin = testfn._MIN_WINDOW * f.length
-        runs.append([])
+        short.append((t.size - 1) % testfn._BLOCK != 0)
         got = testfn._pair_scan(t, s1, s2, wmin)
         assert type(got) is float
         assert got.hex() == pair_scan_rows(t, s1, s2, wmin).hex()
-    assert max(len(scan) - len(set(scan)) for scan in runs[:-1]) >= 1
+    assert short == [True] * 6 + [False, False]
 
 
 def test_bmo_levels_guard():

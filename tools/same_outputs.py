@@ -7,12 +7,14 @@ directory, removed when the script ends, also on SIGTERM.  In each tree a
 fresh process imports bmobell from that tree's src/ and the workloads from
 its perfbench/, and for every workload and every seed in SEEDS runs each
 operation of one round once, then the workload's ``evidence`` on those
-outputs.  The change side is this checkout's working tree.  The outputs
-of the two trees are compared with perfbench/run.py's ``same``, exact
-equality of numbers, strings and arrays, in the order the workloads run
-them.  The script prints the first workload, seed and operation whose
-outputs differ and exits 1, or prints how many records agree and exits 0.
-It reads perfbench/ and writes nothing there.
+outputs.  One more record holds seminorm readings the workloads do not
+take (``scan_readings``).  The change side is this checkout's working
+tree.  The outputs of the two trees are compared with perfbench/run.py's
+``same``, exact equality of numbers, strings and arrays, in the order the
+workloads run them, then reading by reading.  The script prints the first
+workload, seed and operation, or the first scan reading, whose outputs
+differ and exits 1, or prints how many records and readings agree and
+exits 0.  It reads perfbench/ and writes nothing there.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(11, 21))
+
+# the (n, h, depth) table of build_ladder's docstring
+LADDERS = ((4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3))
 
 
 def plain(x):
@@ -56,8 +61,28 @@ def outcome(fn):
         return ("raised", type(exc).__name__, str(exc))
 
 
+def scan_readings(B) -> dict:
+    """Seminorm readings by name: build_ladder's table at levels 6, 8 and 10 and
+    one level deeper at levels 10, phi0 at levels 8 to 14, the two rim
+    extremals at levels 12, and criterion 08's 10^4 draws (seed 7, 64 cells)."""
+    import numpy as np
+
+    jobs = {}
+    for n, h, d in LADDERS:
+        for depth, levels in ((d, 6), (d, 8), (d, 10), (d + 1, 10)):
+            jobs[f"bmo_norm(build_ladder({n}, {h}, {depth}), {levels})"] = (
+                lambda n=n, h=h, depth=depth, levels=levels: B.bmo_norm(B.build_ladder(n, h, depth), levels))
+    for levels in range(8, 15):
+        jobs[f"bmo_norm(optimizer_phi0(), {levels})"] = lambda levels=levels: B.bmo_norm(B.optimizer_phi0(), levels)
+    jobs["bmo_norm(optimizer_uplus(1, 0.5), 12)"] = lambda: B.bmo_norm(B.optimizer_uplus(1.0, 0.5), 12)
+    jobs["bmo_norm(optimizer_uminus(1, 2.2), 12)"] = lambda: B.bmo_norm(B.optimizer_uminus(1.0, 2.2), 12)
+    seeds = [int(s) for s in np.random.SeedSequence(7).generate_state(10_000, dtype=np.uint64)]
+    jobs["random_step_values(criterion 08 seeds, 64, 1)"] = lambda: B.random_step_values(seeds, 64, 1.0)
+    return {name: outcome(fn) for name, fn in jobs.items()}
+
+
 def collect(root: Path, out: Path):
-    """Every workload's outputs and evidence at every seed, from root's trees, pickled into out."""
+    """Every workload's outputs and evidence at every seed, and the scan readings, from root's trees, pickled into out."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bmobell
     import bmobell.cli  # noqa: F401  (the scan workload drives the CLI)
@@ -72,10 +97,10 @@ def collect(root: Path, out: Path):
             outs = {op.name: outcome(op.fn) for op in wl.ops()}
             outs["evidence"] = outcome(lambda: wl.evidence(outs))
             records.append((name, seed, plain(outs)))
-    out.write_bytes(pickle.dumps(records))
+    out.write_bytes(pickle.dumps({"records": records, "scans": plain(scan_readings(bmobell))}))
 
 
-def run_tree(root: Path, out: Path) -> list:
+def run_tree(root: Path, out: Path) -> dict:
     """collect in a fresh process for root, one BLAS thread as perfbench/run.py uses."""
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     subprocess.run([sys.executable, str(Path(__file__).resolve()), "--collect", str(root), str(out)],
@@ -103,12 +128,18 @@ def compare_trees(parent_root: Path, change_root: Path, tmp: Path) -> int:
     spec.loader.exec_module(run)
     parent = run_tree(parent_root, tmp / "parent.pickle")
     change = run_tree(change_root, tmp / "change.pickle")
-    diff = first_difference(parent, change, run.same)
+    diff = first_difference(parent["records"], change["records"], run.same)
     if diff is not None:
         workload, seed, op = diff
         print(f"differs: workload {workload}, seed {seed}, operation {op}")
         return 1
-    print(f"same: {len(parent)} records (workload, seed) of operations and evidence agree")
+    scans = parent["scans"]
+    for name in list(scans) + [k for k in change["scans"] if k not in scans]:
+        if name not in scans or name not in change["scans"] or not run.same(scans[name], change["scans"][name]):
+            print(f"differs: scan reading {name}")
+            return 1
+    print(f"same: {len(parent['records'])} records (workload, seed) of operations and evidence agree, "
+          f"and {len(scans)} scan readings")
     return 0
 
 
