@@ -733,7 +733,8 @@ def _block_test(t, s1, s2, f, tt, d1, d2, beta, r1, r2, c, bi, bj, first, last, 
     out, tmp = (x[: tt.shape[0] * c.size].reshape(-1, c.size) for x in bufs)
 
     def qs(blk):
-        """Q from block blk's first node to its next b nodes, (b, tests), in out."""
+        """Q from block blk's first node to its next b nodes, (b, tests), in out;
+        mode="clip", on indices in range, spares take its buffered copy for out=."""
         col = blk * f + c
         np.take(d2, col, axis=1, out=out, mode="clip")
         np.multiply(np.take(d1, col, axis=1, out=tmp, mode="clip"), m2, out=tmp)
