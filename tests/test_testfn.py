@@ -471,8 +471,9 @@ def test_block_tests_leave_few_pairs_on_a_ladder(monkeypatch):
 
 def test_pair_scan_memory_stays_small():
     # peak traced memory of a 16,041-node scan and of 256 draws in chunks of
-    # _SCAN_CHUNK columns; the scan's buffers, tables and groups are bounded
-    # by _TILE, so neither grows with the number of block pairs
+    # _SCAN_CHUNK columns; the scan's groups, test chunks and reads are
+    # bounded by _TILE and its tables by n F, so neither peak grows with the
+    # number of block pairs
     f = build_ladder(4, 0.1, 6)
     peaks = []
     for call in (lambda: bmo_norm(f, 10), lambda: random_step_values(range(256), 64, 1.0)):
