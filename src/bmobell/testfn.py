@@ -39,15 +39,6 @@ from .specfn import gamma_fn, rise_integral
 # inside the cells of a 64-cell draw
 _GEN_LEVELS = 9
 
-# draws per pair scan in random_step_values.  Each column reads only the
-# block pairs it needs, so width costs no pruning, but the band, the tables
-# and the groups grow with it; measured on 2 vCPUs for 2,048 draws of 64
-# cells (median of 11, in turn): 0.44 s at 32 columns, 0.37 s at 64, 0.35 s
-# at 96, 0.33 s at 128 and at 192, 0.36 s at 256, with peak traced memory
-# for 256 draws of 1.8, 2.6, 3.6, 4.7, 6.8 and 8.9 MB.  64 to 192 overlap in
-# their quartiles, so the smallest, 64, is kept
-_SCAN_CHUNK = 64
-
 # nodes per block of the pair scan.  Against 16, in medians of 21
 # alternating in-process calls on 2 vCPUs, blocks of 20 took 1.00x the time
 # of the line workload's nine scans, 1.04x on 48 columns of draws and 1.11x
@@ -55,10 +46,12 @@ _SCAN_CHUNK = 64
 _BLOCK = 16
 
 # values per batch of the pair scan: variances and bounds per group of block
-# tests, table entries per chunk of exact tests and windows per read.  At
-# 2^14 the scans of build_ladder(4, 0.1, 5) at levels 6 and of the 16,041-node
-# ladder took 1.06x and 1.12x the time; groups of _TILE pairs, not _TILE / 2,
-# ran as fast and raised that scan's traced peak from 2.9 to 3.7 MB
+# tests, table entries per chunk of exact tests, windows per read, and the
+# band's (n - 1) F values, as random_step_values stacks _TILE // (n - 1)
+# draws per scan, 64 on the 513-node grid.  At 2^14 the scans of
+# build_ladder(4, 0.1, 5) at levels 6 and of the 16,041-node ladder took
+# 1.06x and 1.12x the time; groups of _TILE pairs, not _TILE / 2, ran as fast
+# and raised that scan's traced peak from 2.9 to 3.7 MB
 _TILE = 2 ** 15
 
 # windows shorter than this fraction of the domain are dropped from the
@@ -473,32 +466,33 @@ def stray_outside(f: PiecewiseFn, lo: float, hi: float) -> float:
     return float(np.max(size, where=out, initial=0.0))
 
 
-def _window_var(tj, ti, s1j, s1i, s2j, s2i, w, mu, v):
-    """Window variances into v: w = tj - ti, mu = (s1j - s1i)/w, v = (s2j - s2i)/w - mu^2.
+def _window_var(tj, ti, s1j, s1i, s2j, s2i):
+    """Widths and variances (w, v): w = tj - ti, mu = (s1j - s1i)/w, v = (s2j - s2i)/w - mu^2.
 
     The one order of operations behind every variance the pair scan reads,
     so a pair gets the same bits whichever step of the scan reads it.
     """
-    np.subtract(tj, ti, out=w)
-    np.subtract(s1j, s1i, out=mu)
-    np.divide(mu, w, out=mu)
-    np.subtract(s2j, s2i, out=v)
-    np.divide(v, w, out=v)
-    np.multiply(mu, mu, out=mu)
-    return np.subtract(v, mu, out=v)
+    w = tj - ti
+    mu = s1j - s1i
+    mu /= w
+    v = s2j - s2i
+    v /= w
+    mu *= mu
+    v -= mu
+    return w, v
 
 
 def _pair_scan(t, s1, s2, wmin):
-    """Largest window variance, at least 0, over node pairs t_i < t_j.
+    """Largest window variance, at least 0, per column, over node pairs t_i < t_j.
 
-    t holds n sorted nodes and s1, s2 the prefix integrals at them: 1-D for
-    one function, which gives a float, or (n, F) for F functions, one per
-    column, which gives one reading per column.  Windows shorter than wmin
-    are skipped.  Every variance the scan reads, in the band, the block
-    seeds and the block reads alike, comes from _window_var, and a pair is
-    left unread only where a test proves that it cannot beat the maximum,
-    so on finite prefix integrals, away from underflow and overflow, the
-    reading is the maximum over all pairs, bit for bit.
+    t holds n sorted nodes and s1, s2, (n, F), the prefix integrals of F
+    functions at them, one per column; one function is an (n, 1) column.
+    Windows shorter than wmin are skipped.  Every variance the scan reads,
+    in the band, the block seeds and the block reads alike, comes from
+    _window_var, and a pair is left unread only where a test proves that it
+    cannot beat the maximum, so on finite prefix integrals, away from
+    underflow and overflow, each reading is the maximum over all pairs, bit
+    for bit.
 
     The nodes are cut into blocks of b = _BLOCK nodes, neighbours sharing
     an end node, the last block maybe shorter, and the scan takes two steps:
@@ -521,33 +515,23 @@ def _pair_scan(t, s1, s2, wmin):
     ladder of depth 6 at levels 10, where the outer-window bound alone left
     nearly all of them.
     """
-    n = t.size
-    cols = s1.shape[1:]
-    best = np.zeros(cols)
-    b, f = _BLOCK, math.prod(cols)
-    # one flat store per buffer, shared by the band, the block tests and the reads
-    wflat, mflat, vflat = (np.empty(max((n - 1) * k, _TILE)) for k in (1, f, f))
-    tw = t.reshape((n,) + (1,) * len(cols))
-    wbuf = wflat[: n - 1].reshape((n - 1,) + (1,) * len(cols))
-    mbuf = mflat[: (n - 1) * f].reshape((n - 1,) + cols)
-    vbuf = vflat[: (n - 1) * f].reshape((n - 1,) + cols)
+    n, f = s1.shape
+    best = np.zeros(f)
+    tw = t[:, None]
     any_short = bool((np.diff(t) < wmin).any())
-    for d in range(1, min(2 * b, n - 1) + 1):
-        m = n - d
-        v = _window_var(tw[d:], tw[:m], s1[d:], s1[:m], s2[d:], s2[:m],
-                        wbuf[:m], mbuf[:m], vbuf[:m])
+    for d in range(1, min(2 * _BLOCK, n - 1) + 1):
+        w, v = _window_var(tw[d:], tw[:-d], s1[d:], s1[:-d], s2[d:], s2[:-d])
         if any_short:
-            np.fmax(best, v.max(axis=0, where=wbuf[:m] >= wmin, initial=-np.inf), out=best)
+            np.fmax(best, v.max(axis=0, where=w >= wmin, initial=-np.inf), out=best)
         else:
             np.fmax(best, np.maximum.reduce(v), out=best)
-    if n - 1 > 2 * b:
-        # the block steps see every input as (n, F), in C order
-        s1, s2 = (np.ascontiguousarray(s.reshape(n, f)) for s in (s1, s2))
-        _block_pairs(t, s1, s2, wmin, best.reshape(f), wflat, mflat, vflat)
-    return best if cols else float(best)
+    if n - 1 > 2 * _BLOCK:
+        # the block steps index s1 and s2 flat, node x of column c at x f + c
+        _block_pairs(t, np.ascontiguousarray(s1), np.ascontiguousarray(s2), wmin, best)
+    return best
 
 
-def _block_pairs(t, s1, s2, wmin, best, *bufs):
+def _block_pairs(t, s1, s2, wmin, best):
     """Raise best, per column, to the largest variance of the pairs from block I to J >= I + 2.
 
     Blocks are [first, last] = [kb, min(kb + b, n - 1)], b = _BLOCK.  Once
@@ -560,13 +544,14 @@ def _block_pairs(t, s1, s2, wmin, best, *bufs):
     * seeds: the variance of each pair's outer window, from the first node
       of I to the last of J, raises the maximum;
     * bound: the outer-window bound tests every pair and column;
-    * exact test: _block_test takes what the bound leaves, _TILE / b tests
-      at a time, each a gather along the block axis of the tables;
+    * exact test: excluded takes what the bound leaves, _TILE / b tests at
+      a time, each a gather along the block axis of the tables;
     * reads: each pair and column that passes both reads its b rows against
-      J's b + 1 nodes by gather, about _TILE values per _window_var call.
-      A batch whose shortest window is below wmin masks its short windows
-      with their own w.  Node e, the first of J, is I + 1's last node, read
-      again with the same bits.
+      J's b + 1 nodes by gather, about _TILE values per _window_var call,
+      as soon as its chunk of tests is done, so later chunks test against
+      the raised maximum.  A batch whose shortest window is below wmin
+      masks its short windows with their own w.  Node e, the first of J,
+      is I + 1's last node, read again with the same bits.
 
     The exact test.  Take I = [a, c] and J = [e, g], read s1, s2 and t as
     exact reals, and for a mean m and a level beta write
@@ -655,6 +640,40 @@ def _block_pairs(t, s1, s2, wmin, best, *bufs):
     slack_i = excess(d1, d2, tt)
     d1, d2 = d1.reshape(b, nb * f), d2.reshape(b, nb * f)
     s1f, s2f = s1.reshape(-1), s2.reshape(-1)
+
+    def excluded(beta, c, bi, bj):
+        """True where the exact test excludes column c of block pair (bi, bj), one entry per test.
+
+        Q(a, i) over I and Q(e, j) over J are formed as (b, tests) arrays
+        from the tables.
+        """
+        a, g = first[bi], last[bj]
+        sa, sg = a * f + c, g * f + c
+        l_out = t[g] - t[a]
+        e1 = s1f[sg] - s1f[sa]
+        m = e1 / l_out
+        cq = m * m - beta
+        m2 = 2.0 * m
+        q = ((s2f[sg] - s2f[sa]) - m2 * e1) + cq * l_out
+        out, tmp = np.empty((2, b, c.size))
+
+        def qs(blk):
+            """Q from block blk's first node to its next b nodes, (b, tests), in out;
+            mode="clip", on indices in range, spares take its buffered copy for out=."""
+            col = blk * f + c
+            np.take(d2, col, axis=1, out=out, mode="clip")
+            np.multiply(np.take(d1, col, axis=1, out=tmp, mode="clip"), m2, out=tmp)
+            np.subtract(out, tmp, out=out)
+            np.multiply(np.take(tt, blk, axis=1, out=tmp, mode="clip"), cq, out=tmp)
+            return np.add(out, tmp, out=out)
+
+        # Q(a, a) = 0 and Q(e, e) = 0 join the least and the largest
+        q -= np.minimum(np.minimum.reduce(qs(bi)), 0.0)
+        qj = qs(bj)
+        q -= qj[-1]
+        q += np.maximum(np.maximum.reduce(qj), 0.0)
+        return q < -17.0 * eps * (r2 + 2.0 * np.abs(m) * r1 + l_out * (m * m + np.abs(beta)))
+
     ta, tc, tg = t[first], t[last[:-2]], t[last]
     s1a, s2a, s1g, s2g = s1[first], s2[first], s1[last], s2[last]
     group, chunk, batch = max(1, _TILE // (2 * f)), _TILE // b, _TILE // (b * (b + 1))
@@ -665,8 +684,6 @@ def _block_pairs(t, s1, s2, wmin, best, *bufs):
         js = slice(i0 + 2, nb)
         i1 = min(nb - 2, i0 + max(1, group // (nb - js.start)))
         rows = slice(i0, i1)
-        shape = (i1 - i0, nb - js.start)
-        w, mu, v = (x[: math.prod(shape) * y].reshape(shape + (y,)) for x, y in zip(bufs, (1, f, f)))
         l_out = tg[js] - ta[rows, None]
         live = np.arange(js.start, nb) >= np.arange(i0, i1)[:, None] + 2
         inv = (1.0 + 8.0 * eps) / np.where(live, ta[js] - tc[rows, None], 1.0)
@@ -676,8 +693,8 @@ def _block_pairs(t, s1, s2, wmin, best, *bufs):
         # nothing and are never read
         live &= l_out >= wmin
         with np.errstate(all="ignore"):
-            _window_var(tg[None, js, None], ta[rows, None, None], s1g[None, js], s1a[rows, None],
-                        s2g[None, js], s2a[rows, None], w, mu, v)
+            _, v = _window_var(tg[None, js, None], ta[rows, None, None], s1g[None, js],
+                               s1a[rows, None], s2g[None, js], s2a[rows, None])
             v[~live] = -np.inf
             np.fmax(best, np.maximum.reduce(v.reshape(-1, f)), out=best)
             # bound = L_out / L_in max(V_out + r, 0) + (P_I + R_J) / L_in + r
@@ -686,69 +703,28 @@ def _block_pairs(t, s1, s2, wmin, best, *bufs):
             v *= (l_out * inv)[..., None]
             v += ((slack_i[rows, None] + slack_j[js]) * inv + r)[..., None]
         ii, jj, cc = np.nonzero(~(v < best) & live[..., None])
-        keep = np.zeros(shape + (f,), dtype=bool)
-        with np.errstate(all="ignore"):
-            for c0 in range(0, ii.size, chunk):
-                i, j, c = ii[c0 : c0 + chunk], jj[c0 : c0 + chunk], cc[c0 : c0 + chunk]
-                out = _block_test(t, s1f, s2f, f, tt, d1, d2, best[c] - r[i, j], r1, r2, c,
-                                  i + i0, j + js.start, first, last, bufs[1:])
-                keep[i[~out], j[~out], c[~out]] = True
-        # the first nodes of the blocks I and J of each pair and column to read
-        ri, rj, rc = np.nonzero(keep)
-        ri, rj, i0 = first[ri + i0], first[rj + js.start], i1
-        for c0 in range(0, ri.size, batch):
-            pick = slice(c0, c0 + batch)
-            k, c = ri[pick].size, rc[pick]
-            # rows x of I and nodes y of J, (b, k) and (b + 1, k), and their entries in s1f, s2f
-            x = ri[pick] + span[:-1, None]
-            y = np.minimum(rj[pick] + span[:, None], n - 1)
-            xs, ys = x * f + c, y * f + c
-            w, mu, v = (z[: k * b * (b + 1)].reshape(b, b + 1, k) for z in bufs)
-            _window_var(t[y], t[x][:, None], s1f[ys], s1f[xs][:, None], s2f[ys], s2f[xs][:, None],
-                        w, mu, v)
-            v = v.reshape(-1, k)
-            if (t[y[0]] - t[x[-1]] < wmin).any():
-                v = v.max(axis=0, where=w.reshape(-1, k) >= wmin, initial=-np.inf)
-            else:
-                v = np.maximum.reduce(v)
-            np.fmax.at(best, c, v)
-
-
-def _block_test(t, s1, s2, f, tt, d1, d2, beta, r1, r2, c, bi, bj, first, last, bufs):
-    """True where the exact test excludes column c of block pair (bi, bj).
-
-    beta, c, bi and bj hold one entry per test, s1 and s2 are flat, node x
-    of column c at x f + c, and tt, d1 and d2 are the tables; the test and
-    its allowance are derived in _block_pairs.  Q(a, i) over I and Q(e, j)
-    over J are formed as (b, tests) arrays from the tables.
-    """
-    a, g = first[bi], last[bj]
-    sa, sg = a * f + c, g * f + c
-    l_out = t[g] - t[a]
-    e1 = s1[sg] - s1[sa]
-    m = e1 / l_out
-    cq = m * m - beta
-    m2 = 2.0 * m
-    q = ((s2[sg] - s2[sa]) - m2 * e1) + cq * l_out
-    out, tmp = (x[: tt.shape[0] * c.size].reshape(-1, c.size) for x in bufs)
-
-    def qs(blk):
-        """Q from block blk's first node to its next b nodes, (b, tests), in out;
-        mode="clip", on indices in range, spares take its buffered copy for out=."""
-        col = blk * f + c
-        np.take(d2, col, axis=1, out=out, mode="clip")
-        np.multiply(np.take(d1, col, axis=1, out=tmp, mode="clip"), m2, out=tmp)
-        np.subtract(out, tmp, out=out)
-        np.multiply(np.take(tt, blk, axis=1, out=tmp, mode="clip"), cq, out=tmp)
-        return np.add(out, tmp, out=out)
-
-    # Q(a, a) = 0 and Q(e, e) = 0 join the least and the largest
-    q -= np.minimum(np.minimum.reduce(qs(bi)), 0.0)
-    qj = qs(bj)
-    q -= qj[-1]
-    q += np.maximum(np.maximum.reduce(qj), 0.0)
-    eps = np.finfo(float).eps
-    return q < -17.0 * eps * (r2 + 2.0 * np.abs(m) * r1 + l_out * (m * m + np.abs(beta)))
+        for c0 in range(0, ii.size, chunk):
+            i, j, c = ii[c0 : c0 + chunk], jj[c0 : c0 + chunk], cc[c0 : c0 + chunk]
+            with np.errstate(all="ignore"):
+                keep = ~excluded(best[c] - r[i, j], c, i + i0, j + js.start)
+            # the first nodes of the blocks I and J of each pair and column to read
+            ri, rj, rc = first[i[keep] + i0], first[j[keep] + js.start], c[keep]
+            for k0 in range(0, ri.size, batch):
+                pick = slice(k0, k0 + batch)
+                k, col = ri[pick].size, rc[pick]
+                # rows x of I and nodes y of J, (b, k) and (b + 1, k), and their entries in s1f, s2f
+                x = ri[pick] + span[:-1, None]
+                y = np.minimum(rj[pick] + span[:, None], n - 1)
+                xs, ys = x * f + col, y * f + col
+                w, v = _window_var(t[y], t[x][:, None], s1f[ys], s1f[xs][:, None],
+                                   s2f[ys], s2f[xs][:, None])
+                v = v.reshape(-1, k)
+                if (t[y[0]] - t[x[-1]] < wmin).any():
+                    v = v.max(axis=0, where=w.reshape(-1, k) >= wmin, initial=-np.inf)
+                else:
+                    v = np.maximum.reduce(v)
+                np.fmax.at(best, col, v)
+        i0 = i1
 
 
 def prefix_integrals(f: PiecewiseFn, t):
@@ -776,7 +752,7 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
     lower bound of the true seminorm, nondecreasing in levels.  A ladder
     piece adds only its two ends, so windows inside it are seen through the
     dyadic nodes alone; lay out enough ladder levels as log pieces.  The
-    scan is the pair-scan kernel on one function's 1-D prefix integrals.
+    scan is the pair-scan kernel on one function's prefix integrals.
     The reading is kept on f per levels, so later calls return it unscanned.
     """
     if not isinstance(levels, int) or not 1 <= levels <= 16:
@@ -786,11 +762,11 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
 
 def _scan(f: PiecewiseFn, levels: int) -> float:
     nodes = np.unique(np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()]))
-    s1, s2 = prefix_integrals(f, nodes)
+    s1, s2 = (s[:, None] for s in prefix_integrals(f, nodes))
     # a NaN would drop windows from the scan and from its block bounds unseen
     if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
         raise DomainError("the prefix integrals of f are not finite at the scan nodes")
-    return math.sqrt(max(_pair_scan(nodes, s1, s2, _MIN_WINDOW * f.length), 0.0))
+    return math.sqrt(max(_pair_scan(nodes, s1, s2, _MIN_WINDOW * f.length)[0], 0.0))
 
 
 def transfer(f: PiecewiseFn, J) -> PiecewiseFn:
@@ -942,14 +918,15 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
     """Cell values of random_step_fn for each seed, as one (len(seeds), cells) array.
 
     The draws share one node grid, the 2^_GEN_LEVELS dyadic splits plus the
-    cell edges, so _SCAN_CHUNK of them stack as the columns of one scan.
+    cell edges, so _TILE // (nodes - 1) of them stack as the columns of one
+    scan.
     Their prefix integrals are running sums of value times width over the
     grid segments, in the order prefix_integrals adds a step function's.
     """
     if not (isinstance(cells, int) and cells >= 2):
         raise DomainError(f"cells must be an integer >= 2, got {cells}")
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     edges = np.linspace(0.0, 1.0, cells + 1)
     nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2 ** _GEN_LEVELS + 1), edges]))
     cell = np.clip(np.searchsorted(edges[:-1], nodes[:-1], side="right") - 1, 0, cells - 1)
@@ -960,8 +937,9 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
         vals[:] = rng.normal(0.0, 1.0, cells)
         while not np.ptp(vals) > 0:
             vals[:] = rng.normal(0.0, 1.0, cells)
-    for c in range(0, len(out), _SCAN_CHUNK):
-        block = out[c : c + _SCAN_CHUNK]
+    chunk = max(1, _TILE // (nodes.size - 1))
+    for c in range(0, len(out), chunk):
+        block = out[c : c + chunk]
         v = block.T[cell]
         s1, s2 = np.zeros((2, nodes.size, len(block)))
         np.cumsum(v * width, axis=0, out=s1[1:])

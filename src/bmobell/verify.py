@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,16 +54,7 @@ class VerifyReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "params": self.params,
-                "cases": self.cases,
-                "worst_residual": self.worst_residual,
-                "witness": self.witness,
-                "passed": self.passed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _report(suite: str, params: dict, cases: int, worst, witness) -> VerifyReport:
@@ -270,8 +261,11 @@ def check_attainment(params: Params, u_grid) -> VerifyReport:
     third coordinates u^p + eps*m_p(u) and u^p - eps*k_p(u).
     """
     p, r, eps = params.p, params.r, params.eps
+    grid = [float(v) for v in u_grid]
+    if not grid:
+        raise DomainError("attainment check needs at least one chord value")
     cases = []
-    for u in (float(v) for v in u_grid):
+    for u in grid:
         for tag, f, x1, x3c in (
             ("plus", testfn.optimizer_uplus(eps, u), u + eps, u ** p + eps * float(m_fn(p, eps, u))),
             ("minus", testfn.optimizer_uminus(eps, u), u - eps, u ** p - eps * float(k_fn(p, eps, u))),
@@ -330,6 +324,8 @@ def extract_constant(params: Params, grid_density: int):
     if params.eps != 1.0:
         raise DomainError("normalize the oscillation scale to 1 before scanning")
     n = int(grid_density)
+    if n < 1:
+        raise DomainError(f"constant extraction needs a grid density >= 1, got {grid_density}")
     x2s = np.linspace(0.0, 1.0, n + 1)[1:]
     lines = max(1, _SLICE_BLOCK // n)
     peaks, at = [], []

@@ -325,13 +325,11 @@ def test_pair_scan_matches_the_double_loop():
     assert min(want) > 0.0
     assert testfn._pair_scan(t, s1, s2, wmin).tolist() == want
     for k in range(len(fns)):
-        assert testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin)[0] == want[k]
-        # one function's 1-D prefix integrals give its reading as a float
-        one = testfn._pair_scan(t, s1[:, k].copy(), s2[:, k].copy(), wmin)
-        assert type(one) is float and one == want[k]
+        # one function is one (n, 1) column
+        assert testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin).tolist() == [want[k]]
     # wider than every window: nothing qualifies and the scan reads 0
     assert testfn._pair_scan(t, s1, s2, 2.0).tolist() == [0.0] * len(fns)
-    assert testfn._pair_scan(t, s1[:, 0].copy(), s2[:, 0].copy(), 2.0) == 0.0
+    assert testfn._pair_scan(t, s1[:, :1], s2[:, :1], 2.0).tolist() == [0.0]
 
 
 def test_pair_scan_of_phi0_matches_the_double_loop():
@@ -392,9 +390,9 @@ def test_pair_scan_matches_the_row_loop_bit_for_bit(scan):
     got = testfn._pair_scan(t, s1, s2, wmin)
     assert got.tobytes() == want.tobytes()
     for k in range(s1.shape[1]):
-        one = testfn._pair_scan(t, s1[:, k].copy(), s2[:, k].copy(), wmin)
-        assert type(one) is float
-        assert one.hex() == pair_scan_rows(t, s1[:, k].copy(), s2[:, k].copy(), wmin).hex()
+        one = testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin)
+        assert one.shape == (1,)
+        assert one[0].hex() == pair_scan_rows(t, s1[:, k].copy(), s2[:, k].copy(), wmin).hex()
 
 
 def test_pair_scan_keeps_its_rounding_slack():
@@ -434,9 +432,10 @@ def count_pairs(monkeypatch):
     read = []
     window_var = testfn._window_var
 
-    def counted(tj, ti, s1j, s1i, s2j, s2i, w, mu, v):
+    def counted(*args):
+        w, v = window_var(*args)
         read.append(v.size)
-        return window_var(tj, ti, s1j, s1i, s2j, s2i, w, mu, v)
+        return w, v
 
     monkeypatch.setattr(testfn, "_window_var", counted)
     return read
@@ -464,16 +463,17 @@ def test_block_tests_leave_few_pairs_on_a_ladder(monkeypatch):
     t, s1, s2 = scan_nodes(f, 6)
     n = t.size
     read = count_pairs(monkeypatch)
-    got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW * f.length)
-    assert got.hex() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * f.length).hex()
+    got = testfn._pair_scan(t, s1[:, None], s2[:, None], testfn._MIN_WINDOW * f.length)
+    assert got.shape == (1,)
+    assert got[0].hex() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * f.length).hex()
     assert sum(read) < 0.15 * n * (n - 1) / 2
 
 
 def test_pair_scan_memory_stays_small():
-    # peak traced memory of a 16,041-node scan and of 256 draws in chunks of
-    # _SCAN_CHUNK columns; the scan's groups, test chunks and reads are
-    # bounded by _TILE and its tables by n F, so neither peak grows with the
-    # number of block pairs
+    # peak traced memory of a 16,041-node scan and of 256 draws in scans of
+    # _TILE // 512 columns; the scan's band, groups, test chunks and reads
+    # are bounded by _TILE or by n, and its tables by n F, so neither peak
+    # grows with the number of block pairs
     f = build_ladder(4, 0.1, 6)
     peaks = []
     for call in (lambda: bmo_norm(f, 10), lambda: random_step_values(range(256), 64, 1.0)):
@@ -501,9 +501,9 @@ def test_pair_scan_reads_the_table_ladders_and_phi0_bit_for_bit(monkeypatch, til
         t, s1, s2 = scan_nodes(f, levels)
         wmin = testfn._MIN_WINDOW * f.length
         short.append((t.size - 1) % testfn._BLOCK != 0)
-        got = testfn._pair_scan(t, s1, s2, wmin)
-        assert type(got) is float
-        assert got.hex() == pair_scan_rows(t, s1, s2, wmin).hex()
+        got = testfn._pair_scan(t, s1[:, None], s2[:, None], wmin)
+        assert got.shape == (1,)
+        assert got[0].hex() == pair_scan_rows(t, s1, s2, wmin).hex()
     assert short == [True] * 6 + [False, False]
 
 
@@ -809,10 +809,11 @@ def test_random_step_fn_respects_the_oscillation_budget():
 
 
 def test_random_step_values_match_single_draws(monkeypatch):
-    # 100 seeds are one partial chunk at 64 cells; at 48 cells, which does
-    # not divide the 2^9 grid, chunks of 32 give three full blocks and a part
-    for cells, eps, chunk in ((64, 1.0, testfn._SCAN_CHUNK), (48, 0.37, 32)):
-        monkeypatch.setattr(testfn, "_SCAN_CHUNK", chunk)
+    # 100 seeds are a full scan of 64 draws and a part at 64 cells; at 48
+    # cells, which does not divide the 2^9 grid, the 545 nodes take 30 draws
+    # per scan at _TILE = 2^14, three full scans and a part
+    for cells, eps, tile in ((64, 1.0, testfn._TILE), (48, 0.37, 2 ** 14)):
+        monkeypatch.setattr(testfn, "_TILE", tile)
         seeds = list(range(1000, 1100))
         batch = random_step_values(seeds, cells, eps)
         assert batch.shape == (len(seeds), cells)
@@ -839,8 +840,8 @@ def test_random_step_values_match_the_per_draw_route(monkeypatch):
     for cells in (2, 3, 7, 48, 64):
         got = random_step_values(seeds, cells, 0.9)
         assert got.tolist() == [per_draw(s, cells, 0.9) for s in seeds]
-    # 70 draws in chunks of 32: two full blocks and a partial one
-    monkeypatch.setattr(testfn, "_SCAN_CHUNK", 32)
+    # 70 draws at 30 per scan: two full scans and a partial one
+    monkeypatch.setattr(testfn, "_TILE", 2 ** 14)
     seeds = list(range(500, 570))
     got = random_step_values(seeds, 48, 1.0)
     assert got.tolist() == [per_draw(s, 48, 1.0) for s in seeds]
@@ -850,8 +851,9 @@ def test_random_step_values_guards():
     assert random_step_values([], 8, 1.0).shape == (0, 8)
     with pytest.raises(DomainError):
         random_step_values([1], 1, 1.0)
-    with pytest.raises(DomainError):
-        random_step_values([1], 8, 0.0)
+    for eps in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            random_step_values([1], 8, eps)
 
 
 def test_csv_round_trip_is_bitwise():

@@ -158,6 +158,12 @@ def test_attainment_suite_catches_a_shaved_evaluator(monkeypatch):
     assert rep.worst_residual > 1e-6
 
 
+def test_attainment_needs_a_chord_value():
+    for grid in ([], (), np.array([])):
+        with pytest.raises(DomainError):
+            check_attainment(Params(1.0, 3.0), grid)
+
+
 def test_attainment_suite_passes():
     for pa in PAIRS:
         eps = pa.eps
@@ -237,6 +243,9 @@ def test_extract_constant_guards():
         extract_constant(Params(4.0, 3.0), 50)  # convex regime
     with pytest.raises(DomainError):
         extract_constant(Params(1.0, 3.0, 2.0), 50)  # non-unit scale
+    for n in (0, -1):  # an empty slice
+        with pytest.raises(DomainError):
+            extract_constant(Params(1.0, 3.0), n)
 
 
 # -------------------------------------------------------------- transference

@@ -31,11 +31,9 @@ import argparse
 import json
 import os
 import platform
-import signal
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -135,25 +133,22 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="the JSON record to write")
     args = ap.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    # SIGTERM raises SystemExit, so the temporary directory is removed
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     seconds = float(spec["run_seconds"])
+    # imported here, so that the module loads without tools/ on sys.path
+    from parent_tree import parent_tree
 
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+    parent = git("rev-parse", args.parent)
+    with parent_tree(parent, "bench_pair_") as (tmp, parent_root):
         report = {
-            "parent": git("rev-parse", args.parent),
+            "parent": parent,
             # content hashes of the measured sources, stable across commits
             "parent_src_tree": git("rev-parse", f"{args.parent}:src"),
-            "change_src_tree": working_src_tree(Path(tmp)),
+            "change_src_tree": working_src_tree(tmp),
             "command": f"python3 perfbench/run.py --workload W --seed N --seconds {spec['run_seconds']} --trace 0",
             "seeds": list(SEEDS),
             "environment": environment(),
             "workloads": {},
         }
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "archive", report["parent"]], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive.stdout, check=True)
         for wl in (w["name"] for w in spec["workloads"]):
             runs = []
             for i, seed in enumerate(SEEDS):

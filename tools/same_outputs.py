@@ -25,10 +25,8 @@ import enum
 import importlib.util
 import os
 import pickle
-import signal
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,14 +151,11 @@ def main(argv=None) -> int:
         return 0
     if not args.parent:
         ap.error("--parent is required")
-    # SIGTERM raises SystemExit, so the temporary directory is removed
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive.stdout, check=True)
-        return compare_trees(parent_root, ROOT, Path(tmp))
+    # imported here, so that the module loads without tools/ on sys.path
+    from parent_tree import parent_tree
+
+    with parent_tree(args.parent, "same_outputs_") as (tmp, parent_root):
+        return compare_trees(parent_root, ROOT, tmp)
 
 
 if __name__ == "__main__":
