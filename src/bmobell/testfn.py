@@ -26,6 +26,7 @@ maximising windows are everywhere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,16 @@ class PiecewiseFn:
 
     def __repr__(self):
         return f"PiecewiseFn({len(self)} pieces on [{self.a}, {self.b}))"
+
+
+def _count(name: str, value, least: int, most: float = math.inf) -> int:
+    """value as an int, by operator.index, in [least, most]: numpy integers pass, floats do not."""
+    try:
+        if least <= (n := operator.index(value)) <= most:
+            return n
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
 def _kept(f: PiecewiseFn, key, read):
@@ -482,17 +493,17 @@ def _window_var(tj, ti, s1j, s1i, s2j, s2i):
     return w, v
 
 
-def _pair_scan(t, s1, s2, wmin):
+def _pair_scan(t, s1, s2):
     """Largest window variance, at least 0, per column, over node pairs t_i < t_j.
 
     t holds n sorted nodes and s1, s2, (n, F), the prefix integrals of F
     functions at them, one per column; one function is an (n, 1) column.
-    Windows shorter than wmin are skipped.  Every variance the scan reads,
-    in the band, the block seeds and the block reads alike, comes from
-    _window_var, and a pair is left unread only where a test proves that it
-    cannot beat the maximum, so on finite prefix integrals, away from
-    underflow and overflow, each reading is the maximum over all pairs, bit
-    for bit.
+    Windows shorter than wmin, _MIN_WINDOW of the nodes' span, are skipped.
+    Every variance the scan reads, in the band, the block seeds and the
+    block reads alike, comes from _window_var, and a pair is left unread
+    only where a test proves that it cannot beat the maximum, so on finite
+    prefix integrals, away from underflow and overflow, each reading is the
+    maximum over all pairs, bit for bit.
 
     The nodes are cut into blocks of b = _BLOCK nodes, neighbours sharing
     an end node, the last block maybe shorter, and the scan takes two steps:
@@ -517,6 +528,7 @@ def _pair_scan(t, s1, s2, wmin):
     """
     n, f = s1.shape
     best = np.zeros(f)
+    wmin = _MIN_WINDOW * (t[-1] - t[0])
     tw = t[:, None]
     any_short = bool((np.diff(t) < wmin).any())
     for d in range(1, min(2 * _BLOCK, n - 1) + 1):
@@ -744,6 +756,11 @@ def prefix_integrals(f: PiecewiseFn, t):
     return s1[at], s2[at]
 
 
+def _nodes(a: float, b: float, levels: int, breaks) -> np.ndarray:
+    """The 2^levels dyadic splits of [a, b] and the points breaks, sorted, each once."""
+    return np.unique(np.concatenate([np.linspace(a, b, 2 ** levels + 1), breaks]))
+
+
 def bmo_norm(f: PiecewiseFn, levels: int) -> float:
     """Oscillation seminorm over all node-aligned windows of the refined grid.
 
@@ -755,18 +772,17 @@ def bmo_norm(f: PiecewiseFn, levels: int) -> float:
     scan is the pair-scan kernel on one function's prefix integrals.
     The reading is kept on f per levels, so later calls return it unscanned.
     """
-    if not isinstance(levels, int) or not 1 <= levels <= 16:
-        raise DomainError(f"levels must be an integer in [1, 16], got {levels}")
+    levels = _count("levels", levels, 1, 16)
     return _kept(f, ("bmo", levels), lambda: _scan(f, levels))
 
 
 def _scan(f: PiecewiseFn, levels: int) -> float:
-    nodes = np.unique(np.concatenate([np.linspace(f.a, f.b, 2 ** levels + 1), f.breakpoints()]))
+    nodes = _nodes(f.a, f.b, levels, f.breakpoints())
     s1, s2 = (s[:, None] for s in prefix_integrals(f, nodes))
     # a NaN would drop windows from the scan and from its block bounds unseen
     if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
         raise DomainError("the prefix integrals of f are not finite at the scan nodes")
-    return math.sqrt(max(_pair_scan(nodes, s1, s2, _MIN_WINDOW * f.length)[0], 0.0))
+    return math.sqrt(_pair_scan(nodes, s1, s2)[0])
 
 
 def transfer(f: PiecewiseFn, J) -> PiecewiseFn:
@@ -877,12 +893,10 @@ def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:
     their left ends at the end, so the result is bit for bit the
     recursion's and no piece object is made.
     """
-    if not (isinstance(depth, int) and depth >= 0):
-        raise DomainError(f"depth must be a nonnegative integer, got {depth}")
+    depth = _count("depth", depth, 0)
     # np.linspace takes an integer cell count; with at least one cell every
     # level keeps a block, and PiecewiseFn checks n and h on the ladder pieces
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"ladder branching must be an integer >= 2, got {n}")
+    n = _count("ladder branching", n, 1)
     # the blocks of a level, their cells, and for each cell a rising and a
     # falling ramp around the next level's block
     a, b, beta = np.array([0.25]), np.array([0.75]), 0.0
@@ -919,22 +933,19 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
 
     The draws share one node grid, the 2^_GEN_LEVELS dyadic splits plus the
     cell edges, so _TILE // (nodes - 1) of them stack as the columns of one
-    scan.
-    Their prefix integrals are running sums of value times width over the
-    grid segments, in the order prefix_integrals adds a step function's.
+    scan.  Their prefix integrals are running sums of value times width over
+    the grid segments, in the order prefix_integrals adds a step function's.
     """
-    if not (isinstance(cells, int) and cells >= 2):
-        raise DomainError(f"cells must be an integer >= 2, got {cells}")
+    cells = _count("cells", cells, 2)
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
     edges = np.linspace(0.0, 1.0, cells + 1)
-    nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2 ** _GEN_LEVELS + 1), edges]))
+    nodes = _nodes(0.0, 1.0, _GEN_LEVELS, edges)
     cell = np.clip(np.searchsorted(edges[:-1], nodes[:-1], side="right") - 1, 0, cells - 1)
     width = np.diff(nodes)[:, None]
-    out = np.empty((len(seeds), cells))
+    out = np.zeros((len(seeds), cells))
     for vals, seed in zip(out, seeds):
-        rng = np.random.Generator(np.random.Philox(seed))
-        vals[:] = rng.normal(0.0, 1.0, cells)
+        rng = np.random.Generator(np.random.Philox(_count("seed", seed, 0)))
         while not np.ptp(vals) > 0:
             vals[:] = rng.normal(0.0, 1.0, cells)
     chunk = max(1, _TILE // (nodes.size - 1))
@@ -944,8 +955,7 @@ def random_step_values(seeds, cells: int, eps: float) -> np.ndarray:
         s1, s2 = np.zeros((2, nodes.size, len(block)))
         np.cumsum(v * width, axis=0, out=s1[1:])
         np.cumsum(v * v * width, axis=0, out=s2[1:])
-        best = _pair_scan(nodes, s1, s2, _MIN_WINDOW)
-        block *= (eps / np.sqrt(np.maximum(best, 0.0)))[:, None]
+        block *= (eps / np.sqrt(_pair_scan(nodes, s1, s2)))[:, None]
     return out
 
 

@@ -144,10 +144,8 @@ def check_concavity(params: Params, n_samples: int, seed: int) -> VerifyReport:
     """
     if params.regime is Regime.DEGENERATE:
         raise DomainError("curvature check needs a non-degenerate exponent pair")
-    if int(n_samples) < 1:
-        raise DomainError(f"curvature check needs at least one sample, got {n_samples}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    pts = _interior_samples(params, int(n_samples), rng)
+    rng = np.random.Generator(np.random.Philox(testfn._count("seed", seed, 0)))
+    pts = _interior_samples(params, testfn._count("n_samples", n_samples, 1), rng)
     eigs = np.linalg.eigvalsh(hessian_leaf_batch(params, pts))
     if params.regime is Regime.MAX:
         res = eigs[:, 2]
@@ -168,9 +166,7 @@ def check_c1_glue(params: Params, n_samples: int) -> VerifyReport:
     """
     p, r, eps = params.p, params.r, params.eps
     rng = np.random.Generator(np.random.Philox(29))
-    n = int(n_samples)
-    if n < 1:
-        raise DomainError(f"C1 check needs at least one sample, got {n_samples}")
+    n = testfn._count("n_samples", n_samples, 1)
     side = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
     # the interface plane exists only over x2 >= max(eps^2, 4*eps*|x1| - 3*eps^2),
     # and that band pinches off against the strip top past |x1| ~ 1.68*eps
@@ -216,11 +212,10 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
     """
     if params.regime is Regime.DEGENERATE:
         raise DomainError("oracle needs a non-degenerate exponent pair")
-    if int(n_fns) < 1:
-        raise DomainError(f"oracle needs at least one function, got {n_fns}")
+    n_fns = testfn._count("n_fns", n_fns, 1)
     p, r, eps = params.p, params.r, params.eps
-    seeds = np.random.SeedSequence(seed).generate_state(int(n_fns), dtype=np.uint64)
-    vals = testfn.random_step_values([int(s) for s in seeds], cells, eps)
+    seeds = np.random.SeedSequence(testfn._count("seed", seed, 0)).generate_state(n_fns, dtype=np.uint64)
+    vals = testfn.random_step_values(seeds, cells, eps)
     mags = np.abs(vals)
     # width-weighted row sums are the step functions' piece integrals, bit for bit
     width = np.diff(np.linspace(0.0, 1.0, cells + 1))
@@ -250,7 +245,7 @@ def check_inequality_oracle(params: Params, n_fns: int, cells: int, seed: int) -
         "bound": float(bound[i]),
         "moment_r": float(xr[i]),
     }
-    return _report("inequality_oracle", _pdict(params), int(n_fns), viol[i], witness)
+    return _report("inequality_oracle", _pdict(params), n_fns, viol[i], witness)
 
 
 def check_attainment(params: Params, u_grid) -> VerifyReport:
@@ -323,9 +318,7 @@ def extract_constant(params: Params, grid_density: int):
         raise DomainError("constant extraction runs in the concave regime")
     if params.eps != 1.0:
         raise DomainError("normalize the oscillation scale to 1 before scanning")
-    n = int(grid_density)
-    if n < 1:
-        raise DomainError(f"constant extraction needs a grid density >= 1, got {grid_density}")
+    n = testfn._count("grid_density", grid_density, 1)
     x2s = np.linspace(0.0, 1.0, n + 1)[1:]
     lines = max(1, _SLICE_BLOCK // n)
     peaks, at = [], []

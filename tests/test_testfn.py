@@ -323,13 +323,18 @@ def test_pair_scan_matches_the_double_loop():
     s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
     want = [pair_scan_reference(t, s1[:, k], s2[:, k], wmin) for k in range(len(fns))]
     assert min(want) > 0.0
-    assert testfn._pair_scan(t, s1, s2, wmin).tolist() == want
+    assert testfn._pair_scan(t, s1, s2).tolist() == want
     for k in range(len(fns)):
         # one function is one (n, 1) column
-        assert testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin).tolist() == [want[k]]
-    # wider than every window: nothing qualifies and the scan reads 0
-    assert testfn._pair_scan(t, s1, s2, 2.0).tolist() == [0.0] * len(fns)
-    assert testfn._pair_scan(t, s1[:, :1], s2[:, :1], 2.0).tolist() == [0.0]
+        assert testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1]).tolist() == [want[k]]
+    # the minimal window is _MIN_WINDOW of the nodes' span: stretched onto
+    # [0, 8] and offset by 5e4, the two short windows, 2.4e-9 and 3.2e-9
+    # wide, read rounding noise of 542 and 128, the largest true variance 0.29
+    far = PiecewiseFn([ConstPiece(8 * a, 8 * b, 5e4 + v) for a, b, v in zip(cuts, cuts[1:], rng.normal(size=6))])
+    s1, s2 = (s[:, None] for s in prefix_integrals(far, 8 * t))
+    want = pair_scan_reference(8 * t, s1[:, 0], s2[:, 0], 8 * wmin)
+    assert pair_scan_reference(8 * t, s1[:, 0], s2[:, 0], wmin) > want
+    assert testfn._pair_scan(8 * t, s1, s2).tolist() == [want]
 
 
 def test_pair_scan_of_phi0_matches_the_double_loop():
@@ -387,10 +392,10 @@ def test_pair_scan_matches_the_row_loop_bit_for_bit(scan):
     t, s1, s2 = scan
     wmin = testfn._MIN_WINDOW
     want = pair_scan_rows(t, s1, s2, wmin)
-    got = testfn._pair_scan(t, s1, s2, wmin)
+    got = testfn._pair_scan(t, s1, s2)
     assert got.tobytes() == want.tobytes()
     for k in range(s1.shape[1]):
-        one = testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1], wmin)
+        one = testfn._pair_scan(t, s1[:, k : k + 1], s2[:, k : k + 1])
         assert one.shape == (1,)
         assert one[0].hex() == pair_scan_rows(t, s1[:, k].copy(), s2[:, k].copy(), wmin).hex()
 
@@ -412,8 +417,9 @@ def test_pair_scan_keeps_its_rounding_slack():
             vals = offset + rng.normal(size=(6, 2)) * 0.1 + [-1.0, 1.0]
             fns = [testfn._step_fn(v) for v in vals]
             s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
-            got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW)
-            assert got.tobytes() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tobytes()
+            got = testfn._pair_scan(t, s1, s2)
+            # the nodes span 0.75, so the scan's minimal window is 0.75 _MIN_WINDOW
+            assert got.tobytes() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * 0.75).tobytes()
 
 
 def scan_nodes(f, levels):
@@ -451,7 +457,7 @@ def test_block_bound_leaves_few_rows_on_short_maximisers(monkeypatch):
     s1, s2 = np.array([prefix_integrals(f, t) for f in fns]).transpose(1, 2, 0)
     n = t.size
     read = count_pairs(monkeypatch)
-    got = testfn._pair_scan(t, s1, s2, testfn._MIN_WINDOW)
+    got = testfn._pair_scan(t, s1, s2)
     assert got.tolist() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW).tolist()
     assert sum(read) < 0.25 * len(fns) * n * (n - 1) / 2
 
@@ -463,7 +469,7 @@ def test_block_tests_leave_few_pairs_on_a_ladder(monkeypatch):
     t, s1, s2 = scan_nodes(f, 6)
     n = t.size
     read = count_pairs(monkeypatch)
-    got = testfn._pair_scan(t, s1[:, None], s2[:, None], testfn._MIN_WINDOW * f.length)
+    got = testfn._pair_scan(t, s1[:, None], s2[:, None])
     assert got.shape == (1,)
     assert got[0].hex() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * f.length).hex()
     assert sum(read) < 0.15 * n * (n - 1) / 2
@@ -487,6 +493,10 @@ def test_pair_scan_memory_stays_small():
     assert peaks[1] < 6e6
 
 
+# the (n, h, depth) rows of build_ladder's docstring table
+LADDER_TABLE = ((4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3))
+
+
 @pytest.mark.parametrize("tile", [testfn._TILE, 1024])
 def test_pair_scan_reads_the_table_ladders_and_phi0_bit_for_bit(monkeypatch, tile):
     # build_ladder's table at levels 6 and phi0 at levels 12, as bmo_norm
@@ -495,23 +505,22 @@ def test_pair_scan_reads_the_table_ladders_and_phi0_bit_for_bit(monkeypatch, til
     # tests and reads of 3 block pairs; all but the (8, 0.3, 3) ladder end
     # in a short block
     monkeypatch.setattr(testfn, "_TILE", tile)
-    table = [(4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3)]
     short = []
-    for f, levels in [(build_ladder(*row), 6) for row in table] + [(optimizer_phi0(), 12)]:
+    for f, levels in [(build_ladder(*row), 6) for row in LADDER_TABLE] + [(optimizer_phi0(), 12)]:
         t, s1, s2 = scan_nodes(f, levels)
-        wmin = testfn._MIN_WINDOW * f.length
         short.append((t.size - 1) % testfn._BLOCK != 0)
-        got = testfn._pair_scan(t, s1[:, None], s2[:, None], wmin)
+        got = testfn._pair_scan(t, s1[:, None], s2[:, None])
         assert got.shape == (1,)
-        assert got[0].hex() == pair_scan_rows(t, s1, s2, wmin).hex()
+        assert got[0].hex() == pair_scan_rows(t, s1, s2, testfn._MIN_WINDOW * f.length).hex()
     assert short == [True] * 6 + [False, False]
 
 
 def test_bmo_levels_guard():
-    with pytest.raises(DomainError):
-        bmo_norm(two_step(), 0)
-    with pytest.raises(DomainError):
-        bmo_norm(two_step(), 17)
+    for levels in (0, 17, 6.0, 6.5, "6"):
+        with pytest.raises(DomainError):
+            bmo_norm(two_step(), levels)
+    # numpy integers are counts too
+    assert bmo_norm(two_step(), np.int64(6)) == bmo_norm(two_step(), 6)
 
 
 def count_scans(monkeypatch):
@@ -687,8 +696,7 @@ def ladder_reference(n, h, depth):
 
 # the rows of build_ladder's docstring table, depths 0 and 1, and steps moved
 # by up to 2%; at the last step np.log and math.log differ on 56 half-cells
-LADDER_CASES = (
-    (4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3),
+LADDER_CASES = LADDER_TABLE + (
     (4, 0.1, 0), (4, 0.1, 1), (4, 0.1 * 1.02, 5), (3, 0.5 * 0.98, 4), (4, 0.09924732580804195, 5),
 )
 
@@ -721,11 +729,14 @@ def test_ladder_guards():
     for piece in (LadderPiece(0.0, 1.0, 0.0, 1, 0.1), LadderPiece(0.0, 1.0, 0.0, 4, 0.0)):
         with pytest.raises(DomainError):
             PiecewiseFn([piece])
-    with pytest.raises(DomainError):
-        build_ladder(4, 0.1, -1)
-    for n, h in ((1, 0.1), (2.5, 0.1), (4, 0.0), (4, -0.1), (4, math.nan)):
+    for depth in (-1, 3.0, 2.5):
+        with pytest.raises(DomainError):
+            build_ladder(4, 0.1, depth)
+    for n, h in ((1, 0.1), (2.5, 0.1), (4.0, 0.1), (4, 0.0), (4, -0.1), (4, math.nan)):
         with pytest.raises(DomainError):
             build_ladder(n, h, 3)
+    # numpy integers are counts too, and lay out the same ladder
+    assert field_bytes(build_ladder(np.int64(4), 0.1, np.int64(3))) == field_bytes(build_ladder(4, 0.1, 3))
     # a zero step empties every ramp, but the step is what gets named
     with pytest.raises(DomainError, match="step"):
         build_ladder(4, 0.0, 5)
@@ -849,8 +860,16 @@ def test_random_step_values_match_the_per_draw_route(monkeypatch):
 
 def test_random_step_values_guards():
     assert random_step_values([], 8, 1.0).shape == (0, 8)
-    with pytest.raises(DomainError):
-        random_step_values([1], 1, 1.0)
+    for cells in (1, 8.0):
+        with pytest.raises(DomainError):
+            random_step_values([1], cells, 1.0)
+    # seeds are counts >= 0, as Philox takes them
+    for seed in (-1, 1.5, "1"):
+        with pytest.raises(DomainError):
+            random_step_values([2, seed], 8, 1.0)
+    # numpy integers are counts too, and draw the same values
+    want = random_step_values([1, 2], 8, 1.0)
+    assert random_step_values(np.array([1, 2], dtype=np.uint64), np.int64(8), 1.0).tolist() == want.tolist()
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             random_step_values([1], 8, eps)

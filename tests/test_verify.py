@@ -103,6 +103,23 @@ def test_concavity_rejects_degenerate_exponents():
         check_concavity(Params(1.0, 2.0), 10, seed=0)
 
 
+def test_oracle_concavity_and_c1_take_integer_counts():
+    # a float count is refused, not truncated, and a numpy integer is a count
+    pa = Params(1.0, 3.0)
+    for n in (0, -1, 2.7, 2.0):
+        for check in (lambda: check_inequality_oracle(pa, n, 8, 7), lambda: check_concavity(pa, n, 7),
+                      lambda: check_c1_glue(pa, n)):
+            with pytest.raises(DomainError):
+                check()
+    for seed in (-1, 7.0):
+        for check in (lambda: check_inequality_oracle(pa, 2, 8, seed), lambda: check_concavity(pa, 2, seed)):
+            with pytest.raises(DomainError):
+                check()
+    assert check_inequality_oracle(pa, np.int64(2), 8, np.uint64(7)) == check_inequality_oracle(pa, 2, 8, 7)
+    assert check_concavity(pa, np.int64(5), np.int64(7)) == check_concavity(pa, 5, 7)
+    assert check_c1_glue(pa, np.int64(3)) == check_c1_glue(pa, 3)
+
+
 def test_c1_glue_suite_passes():
     for pa in PAIRS:
         rep = check_c1_glue(pa, 25)
@@ -243,9 +260,10 @@ def test_extract_constant_guards():
         extract_constant(Params(4.0, 3.0), 50)  # convex regime
     with pytest.raises(DomainError):
         extract_constant(Params(1.0, 3.0, 2.0), 50)  # non-unit scale
-    for n in (0, -1):  # an empty slice
+    for n in (0, -1, 2.7, 4.0):  # an empty slice, and densities that are no integers
         with pytest.raises(DomainError):
             extract_constant(Params(1.0, 3.0), n)
+    assert extract_constant(Params(1.0, 3.0), np.int64(4)) == extract_constant(Params(1.0, 3.0), 4)
 
 
 # -------------------------------------------------------------- transference
