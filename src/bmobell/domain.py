@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfn import k_fn, m_fn
+from .specfn import gamma_fn, k_fn, m_fn
 
 # absolute slack applied to every inequality test on moment coordinates
 MEMBERSHIP_TOL = 1e-12
@@ -41,7 +41,8 @@ class Params:
 
     p = 2 is rejected outright: the second moment coordinate makes that
     case trivial and every formula below divides by quantities that vanish
-    there.
+    there.  Both exponents enter through Gamma(q + 1), so each must keep it
+    a finite double, about q <= 170.6.
     """
 
     p: float
@@ -57,6 +58,8 @@ class Params:
             raise DomainError("p = 2 is degenerate in the base exponent and is not supported")
         if not self.r >= 1:
             raise DomainError(f"r must be >= 1, got {self.r}")
+        for q in (self.p, self.r):
+            gamma_fn(q + 1.0)  # DomainError where Gamma(q + 1) overflows, past about q = 170.6
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps}")
 

@@ -56,10 +56,13 @@ _RISE_FAR = 1e4
 
 
 def gamma_fn(a: float) -> float:
-    """Euler gamma function, restricted to positive arguments."""
-    if not a > 0:
-        raise DomainError(f"gamma_fn needs a > 0, got {a}")
-    return math.gamma(a)
+    """Euler gamma function, restricted to positive arguments where it is a finite double, about a <= 171.6."""
+    if not 0 < a < math.inf:
+        raise DomainError(f"gamma_fn needs a finite a > 0, got {a}")
+    try:
+        return math.gamma(a)
+    except OverflowError:
+        raise DomainError(f"gamma_fn({a}) overflows a double") from None
 
 
 @lru_cache(maxsize=32)
@@ -100,7 +103,7 @@ def _m0(p: float, eps: float, u: np.ndarray) -> np.ndarray:
     small = x <= _LARGE_X
     every = small.all()
     xs = x if every else x[small]
-    head = eps ** (p - 1) * math.gamma(p + 1) * np.exp(xs) * gammaincc(p, xs)
+    head = eps ** (p - 1) * gamma_fn(p + 1) * np.exp(xs) * gammaincc(p, xs)
     if every:
         return head
     out = np.empty_like(u)

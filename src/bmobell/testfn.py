@@ -43,7 +43,9 @@ _GEN_LEVELS = 9
 # nodes per block of the pair scan.  Against 16, in medians of 21
 # alternating in-process calls on 2 vCPUs, blocks of 20 took 1.00x the time
 # of the line workload's nine scans, 1.04x on 48 columns of draws and 1.11x
-# on 256; blocks of 24 took 0.97x, 1.14x and 1.24x
+# on 256; blocks of 24 took 0.97x, 1.14x and 1.24x.  Calls in one process
+# share one warm heap and miss the page faults of the scan's fresh arrays,
+# so a re-tune is measured in fresh processes, with tools/bench_pair.py
 _BLOCK = 16
 
 # values per batch of the pair scan: variances and bounds per group of block
@@ -52,7 +54,8 @@ _BLOCK = 16
 # draws per scan, 64 on the 513-node grid.  At 2^14 the scans of
 # build_ladder(4, 0.1, 5) at levels 6 and of the 16,041-node ladder took
 # 1.06x and 1.12x the time; groups of _TILE pairs, not _TILE / 2, ran as fast
-# and raised that scan's traced peak from 2.9 to 3.7 MB
+# and raised that scan's traced peak from 2.9 to 3.7 MB.  These timings are
+# in-process calls too, with _BLOCK's caveat
 _TILE = 2 ** 15
 
 # windows shorter than this fraction of the domain are dropped from the
@@ -117,9 +120,9 @@ class PiecewiseFn:
     PiecewiseFn(pieces) and from_arrays go through; the piece objects are
     built from the arrays on first access to pieces.
 
-    Readings that depend only on the function, such as bmo_norm per levels
-    and moments per exponent, are kept in _memo, keyed by what was read, and
-    live as long as the function does.
+    Readings that depend only on the function, such as bmo_norm per levels,
+    moments per exponent and the distinct rows moments integrates, are kept
+    in _memo, keyed by what was read, and live as long as the function does.
     """
 
     __slots__ = (
@@ -420,35 +423,60 @@ def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
 
 
 def moments(f: PiecewiseFn, q: float) -> float:
-    """Normalized absolute moment |I|^-1 integral_I |f|^q, kept on f per exponent."""
-    if not q >= 1:
-        raise DomainError(f"moment exponent must be >= 1, got {q}")
+    """Normalized absolute moment |I|^-1 integral_I |f|^q, kept on f per exponent.
+
+    q must be >= 1 with Gamma(q + 1) a finite double, about q <= 170.6.
+    """
+    if not 1 <= q < math.inf:
+        raise DomainError(f"moment exponent must be finite and >= 1, got {q}")
+    gamma_fn(q + 1.0)  # DomainError where Gamma(q + 1) is not a finite double
     return _kept(f, ("moments", q), lambda: _moment(f, q))
 
 
+def _distinct(rows: np.ndarray):
+    """The distinct rows of a 2-D float array, told apart by their bytes, and the index back to them."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], back
+
+
+def _moment_rows(f: PiecewiseFn):
+    """The distinct log rows (z1, dz, c1, c0) and ladder betas of f, each with the index of every piece's row."""
+    logs = np.flatnonzero((f._kind == 1) & (f._c1 != 0.0))
+    wlo, whi = _w_bounds(f, f._pa[logs], f._pb[logs], logs)
+    # one logarithm for the width ln(whi / wlo) keeps what -ln(wlo) - z1 would cancel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z1 = -np.log(whi)
+        dz = np.where(wlo > 0, np.log1p((whi - wlo) / np.maximum(wlo, 1e-300)), np.inf)
+    return (_distinct(np.column_stack((z1, dz, f._c1[logs], f._c0[logs]))),
+            _distinct(f._c0[f._kind == 2, None]))
+
+
 def _moment(f: PiecewiseFn, q: float) -> float:
-    kind, length, const = f._kind, f._pb - f._pa, f._c1 == 0.0
+    """moments(f, q), integrating each distinct log row and ladder beta once.
+
+    _abs_affine_exp is elementwise, so the values spread back to the pieces
+    and summed in piece order read the bits of an integral per piece.
+    """
+    length, const = f._pb - f._pa, f._c1 == 0.0
     total = float(np.sum(np.abs(f._c0[const]) ** q * length[const]))
-    logs = np.flatnonzero((kind == 1) & ~const)
+    (logs, log_of), (betas, beta_of) = _kept(f, "moment_rows", lambda: _moment_rows(f))
     if logs.size:
-        wlo, whi = _w_bounds(f, f._pa[logs], f._pb[logs], logs)
-        # one logarithm for the width ln(whi / wlo) keeps what -ln(wlo) - z1 would cancel
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z1 = -np.log(whi)
-            dz = np.where(wlo > 0, np.log1p((whi - wlo) / np.maximum(wlo, 1e-300)), np.inf)
-        total += float(np.sum(_abs_affine_exp(q, z1, dz, f._c1[logs], f._c0[logs])))
-    lad = np.flatnonzero(kind == 2)
-    if lad.size:
+        total += float(np.sum(_abs_affine_exp(q, *logs.T)[log_of]))
+    if betas.size:
         # law beta + Exp(1): integral_0^inf e^-z |beta + z|^q dz per unit length
-        zero = np.zeros(lad.size)
-        tails = _abs_affine_exp(q, zero, zero + np.inf, zero - 1.0, f._c0[lad])
-        total += float(np.sum(length[lad] * tails))
+        zero = np.zeros(betas.shape[0])
+        tails = _abs_affine_exp(q, zero, zero + np.inf, zero - 1.0, betas[:, 0])
+        total += float(np.sum(length[f._kind == 2] * tails[beta_of]))
     return total / f.length
 
 
 def distribution(f: PiecewiseFn, c: float) -> float:
-    """Measure of the superlevel set {t in I : f(t) > c}, exactly per piece."""
+    """Measure of the superlevel set {t in I : f(t) > c}, exactly per piece; c = nan is refused."""
     c = float(c)
+    if math.isnan(c):
+        raise DomainError("distribution needs a level c that is not nan")
     length = f._pb - f._pa
     const = f._c1 == 0.0
     total = float(np.sum(length[const] * (f._c0[const] > c)))

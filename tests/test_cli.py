@@ -122,6 +122,14 @@ def test_non_finite_parameters_exit_two(capsys):
         assert (code, out) == (2, "") and err.startswith("error:") and "finite" in err
 
 
+def test_an_exponent_whose_gamma_overflows_exits_two(capsys):
+    # Gamma(201) is not a double: each command ended in an OverflowError traceback
+    for argv in (["constant", "--p", "1", "--r", "200"], ["eval", "--p", "1", "--r", "200", "--x", "0,1,1"],
+                 ["verify", "--p", "1", "--r", "200", "--suite", "transference"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------- scan
 
 

@@ -46,6 +46,14 @@ def test_params_validation():
             Params(*bad)
 
 
+def test_params_refuse_exponents_whose_gamma_overflows():
+    # Gamma(q + 1) is a finite double up to about q = 170.6
+    assert Params(1.0, 170.0).r == 170.0
+    for bad in ((1.0, 200.0), (200.0, 1.5), (1.0, 171.0)):
+        with pytest.raises(DomainError):
+            Params(*bad)
+
+
 def test_regime_sign_table():
     assert Params(1.0, 3.0).regime is Regime.MAX
     assert Params(2.5, 4.0).regime is Regime.MAX

@@ -51,8 +51,8 @@ def same_outputs():
     return mod
 
 
-# the calls behind the scan readings: a function is its arguments, and
-# bmo_norm reads {bmo}
+# the calls behind the scan and moment readings: a function is its
+# arguments, bmo_norm reads {bmo} and moments reads {moment}
 SCANS = """
 
 def build_ladder(n, h, depth):
@@ -75,14 +75,18 @@ def bmo_norm(f, levels):
     return {bmo}
 
 
+def moments(f, q):
+    return {moment}
+
+
 def random_step_values(seeds, cells, eps):
     return [[eps * (s % 7) for s in seeds[:3]]] * cells
 """
 
 
-def fake_tree(root: Path, body: str, bmo: str | None = None) -> Path:
+def fake_tree(root: Path, body: str, bmo: str | None = None, moment: str = "0.25 * q") -> Path:
     (root / "src" / "bmobell").mkdir(parents=True)
-    package = PACKAGE.format(body=body) + ("" if bmo is None else SCANS.format(bmo=bmo))
+    package = PACKAGE.format(body=body) + ("" if bmo is None else SCANS.format(bmo=bmo, moment=moment))
     (root / "src" / "bmobell" / "__init__.py").write_text(package)
     (root / "src" / "bmobell" / "cli.py").write_text("")
     (root / "perfbench").mkdir()
@@ -113,9 +117,20 @@ def test_a_one_ulp_difference_in_a_scan_reading_is_named(same_outputs, tmp_path,
     b = fake_tree(tmp_path / "b", "0.1 * seed",
                   f"math.nextafter({flat}, 2.0) if (f, levels) == (('ladder', 4, 0.2, 6), 10) else {flat}")
     assert same_outputs.compare_trees(a, a, tmp_path) == 0
-    assert capsys.readouterr().out.endswith(", and 38 scan readings\n")
+    assert capsys.readouterr().out.endswith(", 38 scan readings and 77 moment readings\n")
     assert same_outputs.compare_trees(a, b, tmp_path) == 1
     assert capsys.readouterr().out == "differs: scan reading bmo_norm(build_ladder(4, 0.2, 6), 10)\n"
+
+
+def test_a_one_ulp_difference_in_a_moment_reading_is_named(same_outputs, tmp_path, capsys):
+    # the workloads and scans agree, and the rim extremal's moment at q = 2.5
+    # reads one ulp higher in the change
+    flat, moment = "0.5 + 0.01 * levels", "0.25 * q"
+    a = fake_tree(tmp_path / "a", "0.1 * seed", flat)
+    b = fake_tree(tmp_path / "b", "0.1 * seed", flat,
+                  f"math.nextafter({moment}, 2.0) if (f, q) == (('uplus', 1.0, 0.5), 2.5) else {moment}")
+    assert same_outputs.compare_trees(a, b, tmp_path) == 1
+    assert capsys.readouterr().out == "differs: moment reading moments(optimizer_uplus(1, 0.5), 2.5)\n"
 
 
 def test_the_first_differing_operation_is_named(same_outputs):

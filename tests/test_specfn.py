@@ -202,6 +202,16 @@ def test_non_finite_input_raises(fn, bad):
                     fn(*args, order)
 
 
+def test_gamma_overflow_is_a_domain_error():
+    # math.gamma raised OverflowError past about 171.6, through m_fn too
+    assert gamma_fn(171.0) == math.gamma(171.0)
+    for a in (172.0, 201.0, math.inf):
+        with pytest.raises(DomainError):
+            gamma_fn(a)
+    with pytest.raises(DomainError):
+        m_fn(200.0, 1.0, 0.5)
+
+
 def test_singularity_guard_at_origin():
     for order in (1, 2):
         with pytest.raises(SingularityError):

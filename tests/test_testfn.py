@@ -193,6 +193,74 @@ def test_rim_extremal_moment_identities():
         assert moments(g, 1.5) == pytest.approx(want, rel=1e-12)
 
 
+def moment_every_row(f, q):
+    """moments(f, q) integrating every log and ladder piece, the route before distinct rows."""
+    kind, length, const = f._kind, f._pb - f._pa, f._c1 == 0.0
+    total = float(np.sum(np.abs(f._c0[const]) ** q * length[const]))
+    logs = np.flatnonzero((kind == 1) & ~const)
+    if logs.size:
+        wlo, whi = testfn._w_bounds(f, f._pa[logs], f._pb[logs], logs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z1 = -np.log(whi)
+            dz = np.where(wlo > 0, np.log1p((whi - wlo) / np.maximum(wlo, 1e-300)), np.inf)
+        total += float(np.sum(testfn._abs_affine_exp(q, z1, dz, f._c1[logs], f._c0[logs])))
+    lad = np.flatnonzero(kind == 2)
+    if lad.size:
+        zero = np.zeros(lad.size)
+        tails = testfn._abs_affine_exp(q, zero, zero + np.inf, zero - 1.0, f._c0[lad])
+        total += float(np.sum(length[lad] * tails))
+    return total / f.length
+
+
+MOMENT_EXPONENTS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3)
+
+
+def test_moments_match_every_row_bit_for_bit():
+    # each distinct row is integrated once and spread back to its pieces;
+    # the sum over pieces keeps its order, so every moment keeps its bits
+    makers = [lambda n=n, h=h, d=d: build_ladder(n, h, d) for n, h, d in LADDER_TABLE + ((4, 0.1, 6),)]
+    makers += [optimizer_phi0, lambda: optimizer_uplus(1.0, 0.5), lambda: optimizer_uminus(1.0, 2.2),
+               mixed_fn, lambda: transfer(mixed_fn(), (2.0, 2.5))]
+    for make in makers:
+        f = make()
+        for q in MOMENT_EXPONENTS:
+            assert moments(f, q).hex() == moment_every_row(f, q).hex()
+
+
+def test_moments_integrate_each_distinct_row_once(monkeypatch):
+    # build_ladder(4, 0.1, 5): 2,728 log pieces over 23 distinct rows, and
+    # 1,024 ladder pieces with one beta
+    calls = []
+    integrate = testfn._abs_affine_exp
+
+    def counted(q, z1, *rest):
+        calls.append((q, z1.size))
+        return integrate(q, z1, *rest)
+
+    monkeypatch.setattr(testfn, "_abs_affine_exp", counted)
+    f = build_ladder(4, 0.1, 5)
+    for q in MOMENT_EXPONENTS:
+        moments(f, q)
+    assert [q for q, _ in calls] == [q for q in MOMENT_EXPONENTS for _ in range(2)]
+    assert all(logs <= 23 and lad == 1 for (_, logs), (_, lad) in zip(calls[::2], calls[1::2]))
+
+
+def test_moments_refuse_exponents_out_of_range():
+    # an infinite or nan exponent read nan after warnings, and one whose
+    # Gamma(q + 1) overflows a double raised OverflowError
+    for f in (build_ladder(4, 0.1, 3), optimizer_uplus(1.0, 0.5)):
+        for q in (math.inf, math.nan, 200.0):
+            with pytest.raises(DomainError):
+                moments(f, q)
+    with pytest.raises(DomainError):
+        moments(PiecewiseFn([LogPiece(0.0, 1.0, 0.0, 0.01, 1.0, 0.0)]), 200.0)
+    with pytest.raises(DomainError):
+        transference_metrics(build_ladder(4, 0.1, 3), 1.0, 1000.0, 0.05)
+    # Gamma(171) is still a double: the ladder reads its exact law there
+    f = build_ladder(4, 0.1, 3)
+    assert moments(f, 170.0) * f.length == pytest.approx(gamma_fn(171.0) / 2.0, rel=1e-12)
+
+
 def test_optimizer_argument_guards():
     with pytest.raises(DomainError):
         optimizer_uplus(1.0, -0.1)
@@ -216,6 +284,14 @@ def test_distribution_exact_cases():
     # right log ramp exceeds c on a tail of length exp(-c)
     for c in (0.5, 1.0, 2.0):
         assert distribution(g, c) == pytest.approx(math.exp(-c), rel=1e-12)
+
+
+def test_distribution_refuses_a_nan_level():
+    # c = nan read nan; the infinite levels keep their exact answers
+    for f in (two_step(), mixed_fn(), optimizer_phi0(), build_ladder(4, 0.1, 3)):
+        with pytest.raises(DomainError):
+            distribution(f, math.nan)
+        assert (distribution(f, math.inf), distribution(f, -math.inf)) == (0.0, f.length)
 
 
 def test_distribution_layer_cake():

@@ -7,14 +7,15 @@ directory, removed when the script ends, also on SIGTERM.  In each tree a
 fresh process imports bmobell from that tree's src/ and the workloads from
 its perfbench/, and for every workload and every seed in SEEDS runs each
 operation of one round once, then the workload's ``evidence`` on those
-outputs.  One more record holds seminorm readings the workloads do not
-take (``scan_readings``).  The change side is this checkout's working
-tree.  The outputs of the two trees are compared with perfbench/run.py's
-``same``, exact equality of numbers, strings and arrays, in the order the
-workloads run them, then reading by reading.  The script prints the first
-workload, seed and operation, or the first scan reading, whose outputs
-differ and exits 1, or prints how many records and readings agree and
-exits 0.  It reads perfbench/ and writes nothing there.
+outputs.  Two more records hold seminorm readings and absolute moments the
+workloads do not take (``scan_readings`` and ``moment_readings``).  The
+change side is this checkout's working tree.  The outputs of the two trees
+are compared with perfbench/run.py's ``same``, exact equality of numbers,
+strings and arrays, in the order the workloads run them, then reading by
+reading.  The script prints the first workload, seed and operation, or the
+first scan or moment reading, whose outputs differ and exits 1, or prints
+how many records and readings agree and exits 0.  It reads perfbench/ and
+writes nothing there.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ SEEDS = tuple(range(11, 21))
 
 # the (n, h, depth) table of build_ladder's docstring
 LADDERS = ((4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3, 0.5, 6), (8, 0.3, 3))
+
+# the exponents of the moment readings
+EXPONENTS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3)
 
 
 def plain(x):
@@ -79,8 +83,25 @@ def scan_readings(B) -> dict:
     return {name: outcome(fn) for name, fn in jobs.items()}
 
 
+def moment_readings(B) -> dict:
+    """Absolute moments by name: build_ladder's table and (4, 0.1, 6), phi0 and
+    the two rim extremals, each function built once and read at every exponent
+    in EXPONENTS in turn."""
+    makers = {f"build_ladder({n}, {h}, {d})": (lambda n=n, h=h, d=d: B.build_ladder(n, h, d))
+              for n, h, d in LADDERS + ((4, 0.1, 6),)}
+    makers["optimizer_phi0()"] = lambda: B.optimizer_phi0()
+    makers["optimizer_uplus(1, 0.5)"] = lambda: B.optimizer_uplus(1.0, 0.5)
+    makers["optimizer_uminus(1, 2.2)"] = lambda: B.optimizer_uminus(1.0, 2.2)
+    out = {}
+    for name, make in makers.items():
+        f = outcome(make)
+        for q in EXPONENTS:
+            out[f"moments({name}, {q})"] = outcome(lambda: B.moments(f, q))
+    return out
+
+
 def collect(root: Path, out: Path):
-    """Every workload's outputs and evidence at every seed, and the scan readings, from root's trees, pickled into out."""
+    """Every workload's outputs and evidence at every seed, and the scan and moment readings, from root's trees, pickled into out."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bmobell
     import bmobell.cli  # noqa: F401  (the scan workload drives the CLI)
@@ -95,7 +116,8 @@ def collect(root: Path, out: Path):
             outs = {op.name: outcome(op.fn) for op in wl.ops()}
             outs["evidence"] = outcome(lambda: wl.evidence(outs))
             records.append((name, seed, plain(outs)))
-    out.write_bytes(pickle.dumps({"records": records, "scans": plain(scan_readings(bmobell))}))
+    out.write_bytes(pickle.dumps({"records": records, "scans": plain(scan_readings(bmobell)),
+                                  "moments": plain(moment_readings(bmobell))}))
 
 
 def run_tree(root: Path, out: Path) -> dict:
@@ -131,13 +153,14 @@ def compare_trees(parent_root: Path, change_root: Path, tmp: Path) -> int:
         workload, seed, op = diff
         print(f"differs: workload {workload}, seed {seed}, operation {op}")
         return 1
-    scans = parent["scans"]
-    for name in list(scans) + [k for k in change["scans"] if k not in scans]:
-        if name not in scans or name not in change["scans"] or not run.same(scans[name], change["scans"][name]):
-            print(f"differs: scan reading {name}")
-            return 1
+    for key, what in (("scans", "scan"), ("moments", "moment")):
+        a, b = parent[key], change[key]
+        for name in list(a) + [k for k in b if k not in a]:
+            if name not in a or name not in b or not run.same(a[name], b[name]):
+                print(f"differs: {what} reading {name}")
+                return 1
     print(f"same: {len(parent['records'])} records (workload, seed) of operations and evidence agree, "
-          f"and {len(scans)} scan readings")
+          f"{len(parent['scans'])} scan readings and {len(parent['moments'])} moment readings")
     return 0
 
 
