@@ -14,13 +14,14 @@ cells.  Pieces are plain records, checked when they form a PiecewiseFn.
 The oscillation seminorm is computed on a dyadic grid refined by every
 piece breakpoint: prefix integrals at grid nodes are exact, so the scan
 over node pairs is exact on its candidate set and bounds the true
-seminorm from below.  The scan reads the pairs in blocks of 16 nodes and
+seminorm from below.  The scan reads the pairs in blocks of 16 nodes.  It
 skips the block pairs that an exact separable test, with allowances for
-rounding, proves cannot beat the maximum, so its reading is the maximum
-over every pair, bit for bit.  It reads about an eighth of the pairs on
-random step functions, nearly all of them next to the diagonal, a
-fortieth on phi0 and a tenth on the near-extremal ladders, where the
-maximising windows are everywhere.
+rounding, proves cannot beat the maximum, and the windows inside two
+neighbouring blocks where a bound from the segments' means and variances
+does, so its reading is the maximum over every pair, bit for bit.  It
+reads about 2% of the pairs on random step functions and 1% on phi0, and
+a tenth on the near-extremal ladders, where the maximising windows are
+everywhere.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ _GEN_LEVELS = 9
 _BLOCK = 16
 
 # values per batch of the pair scan: variances and bounds per group of block
-# tests, table entries per chunk of exact tests, windows per read, and the
-# band's (n - 1) F values, as random_step_values stacks _TILE // (n - 1)
-# draws per scan, 64 on the 513-node grid.  At 2^14 the scans of
-# build_ladder(4, 0.1, 5) at levels 6 and of the 16,041-node ladder took
-# 1.06x and 1.12x the time; groups of _TILE pairs, not _TILE / 2, ran as fast
+# tests, table entries per chunk of exact tests, windows per gather of span
+# units (b rows by 2b nodes, 64 units) or of block pairs (b by b + 1), and
+# the swept band's (n - 1) F values, as random_step_values stacks
+# _TILE // (n - 1) draws per scan, 64 on the 513-node grid.  At 2^14 the
+# scans of build_ladder(4, 0.1, 5) at levels 6 and of the 16,041-node
+# ladder took 1.06x and 1.12x the time; groups of _TILE pairs, not _TILE / 2, ran as fast
 # and raised that scan's traced peak from 2.9 to 3.7 MB.  These timings are
 # in-process calls too, with _BLOCK's caveat
 _TILE = 2 ** 15
@@ -399,11 +401,11 @@ def second_moment(f: PiecewiseFn) -> float:
     return float(np.sum(i2) / f.length)
 
 
-def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
-    """integral_{z1}^{z1 + dz} exp(-z) |C - B z|^q dz over 1-D arrays, B != 0; dz may be inf."""
+def _abs_affine_exp(q: float, z1, dz, B, C, shift: int = 0) -> np.ndarray:
+    """2^-shift integral_{z1}^{z1 + dz} exp(-z) |C - B z|^q dz over 1-D arrays, B != 0; dz may be inf."""
     zs = C / B
     absB = np.abs(B)
-    gq = gamma_fn(q + 1.0)
+    gq = math.ldexp(gamma_fn(q + 1.0), -shift)
     # decaying side, z >= zs: |C - Bz| = |B| (z - zs)
     y1 = np.maximum(z1 - zs, 0.0)
     y2 = np.maximum(z1 + dz - zs, 0.0)
@@ -418,7 +420,7 @@ def _abs_affine_exp(q: float, z1, dz, B, C) -> np.ndarray:
     ii = np.flatnonzero(span > 0.0)
     if ii.size:
         rise = rise_integral(q, zs[ii] - z1[ii] - span[ii], span[ii])
-        out[ii] += absB[ii] ** q * np.exp(-z1[ii]) * rise
+        out[ii] += absB[ii] ** q * np.exp(-z1[ii]) * np.ldexp(rise, -shift)
     return out
 
 
@@ -430,7 +432,16 @@ def moments(f: PiecewiseFn, q: float) -> float:
     if not 1 <= q < math.inf:
         raise DomainError(f"moment exponent must be finite and >= 1, got {q}")
     gamma_fn(q + 1.0)  # DomainError where Gamma(q + 1) is not a finite double
-    return _kept(f, ("moments", q), lambda: _moment(f, q))
+
+    def read():
+        with np.errstate(over="ignore"):
+            m = _moment(f, q)
+        # Gamma(q + 1) near the double limit can overflow a piece or the sum
+        # of a finite moment, which is redone at 2^-64 scale, exact away
+        # from underflow
+        return m if math.isfinite(m) else float(np.ldexp(_moment(f, q, 64), 64))
+
+    return _kept(f, ("moments", q), read)
 
 
 def _distinct(rows: np.ndarray):
@@ -453,21 +464,21 @@ def _moment_rows(f: PiecewiseFn):
             _distinct(f._c0[f._kind == 2, None]))
 
 
-def _moment(f: PiecewiseFn, q: float) -> float:
-    """moments(f, q), integrating each distinct log row and ladder beta once.
+def _moment(f: PiecewiseFn, q: float, shift: int = 0) -> float:
+    """2^-shift moments(f, q), integrating each distinct log row and ladder beta once.
 
     _abs_affine_exp is elementwise, so the values spread back to the pieces
     and summed in piece order read the bits of an integral per piece.
     """
     length, const = f._pb - f._pa, f._c1 == 0.0
-    total = float(np.sum(np.abs(f._c0[const]) ** q * length[const]))
+    total = float(np.sum(np.ldexp(np.abs(f._c0[const]) ** q, -shift) * length[const]))
     (logs, log_of), (betas, beta_of) = _kept(f, "moment_rows", lambda: _moment_rows(f))
     if logs.size:
-        total += float(np.sum(_abs_affine_exp(q, *logs.T)[log_of]))
+        total += float(np.sum(_abs_affine_exp(q, *logs.T, shift)[log_of]))
     if betas.size:
         # law beta + Exp(1): integral_0^inf e^-z |beta + z|^q dz per unit length
         zero = np.zeros(betas.shape[0])
-        tails = _abs_affine_exp(q, zero, zero + np.inf, zero - 1.0, betas[:, 0])
+        tails = _abs_affine_exp(q, zero, zero + np.inf, zero - 1.0, betas[:, 0], shift)
         total += float(np.sum(length[f._kind == 2] * tails[beta_of]))
     return total / f.length
 
@@ -527,48 +538,180 @@ def _pair_scan(t, s1, s2):
     t holds n sorted nodes and s1, s2, (n, F), the prefix integrals of F
     functions at them, one per column; one function is an (n, 1) column.
     Windows shorter than wmin, _MIN_WINDOW of the nodes' span, are skipped.
-    Every variance the scan reads, in the band, the block seeds and the
+    Every variance the scan reads, in the spans, the block seeds and the
     block reads alike, comes from _window_var, and a pair is left unread
-    only where a test proves that it cannot beat the maximum, so on finite
-    prefix integrals, away from underflow and overflow, each reading is the
-    maximum over all pairs, bit for bit.
+    only where a bound or a test proves that it cannot beat the maximum, so
+    on finite prefix integrals, away from underflow and overflow, each
+    reading is the maximum over all pairs, bit for bit.
 
     The nodes are cut into blocks of b = _BLOCK nodes, neighbours sharing
-    an end node, the last block maybe shorter, and the scan takes two steps:
+    an end node, the last block maybe shorter.  A pair from block I to a
+    block J >= I + 2 is _block_pairs' to test and read.  Every other pair
+    from a row of I lies in the span of I, nodes Ib to (I + 2)b: the
+    segments of blocks I and I + 1, or of the last block alone.  The scan
+    takes two steps:
 
-    * band: the pairs at most 2b nodes apart, one diagonal at a time, which
-      hold every pair within a block or between neighbouring blocks;
+    * spans: _span_bounds bounds every variance inside each span, per
+      column.  Each column's span of largest bound is read first and
+      raises the maximum, and then every (span, column) unit whose bound
+      is not below the maximum passes.  If fewer than half the units pass,
+      they are read by gather, rows Ib to Ib + b - 1 against nodes Ib + 1
+      to Ib + 2b, the windows that end at or before their start masked.
+      Otherwise the band, the pairs at most 2b nodes apart, which holds
+      every span's pairs, is swept one diagonal at a time, since a swept
+      variance costs about half a gathered one.  The near-extremal ladders
+      take the sweep, with 94-99% of their units passing;
     * blocks: _block_pairs tests every block pair J >= I + 2 and reads the
       pairs of those that pass.
 
-    A NaN variance, which only an overflow in the prefix integrals makes,
-    takes its column of the diagonal, or its block pair and column, out of
-    the maximum: the reduction passes it on, and np.fmax drops it.
+    The span bound.  Read s1, s2 and t as exact reals, as _block_pairs
+    does.  Segment k, from node k to node k + 1, has length l_k and the
+    differences a_k and b_k of s1 and s2, mean mu_k = a_k / l_k and
+    variance e_k = b_k / l_k - mu_k^2.  A window made of segments k, of
+    length L and mean mu, has the variance
 
-    The gain rests on the tests excluding most block pairs.  Counting the
-    band, the seeds and the reads, and a pair read in one of F columns as
-    1/F of a pair, the scan reads about 13% of the pairs on the oracle's
-    64-cell draws over the 2^9 grid, 12% of them in the band, 2.5% on phi0
-    at levels 12, 10-11% on the ladders of build_ladder's table at levels 6
-    (19% on the 1,745 nodes of (8, 0.3, 3)) and 2.7% on the 16,041-node
-    ladder of depth 6 at levels 10, where the outer-window bound alone left
-    nearly all of them.
+        V = (1/L) sum l_k e_k + (1/L) sum l_k (mu_k - mu)^2,
+
+    an identity, which holds also where the prefix sums break
+    Cauchy-Schwarz and some e_k < 0.  The first term is at most max e_k,
+    and the second is the variance of a law on [m, M], m and M the least
+    and largest mu_k of the span, so at most (M - m)^2 / 4 (Popoviciu,
+    Mathematica 9, 1935).  A computed variance is within 9u (|D2|/w +
+    (D1/w)^2) of V, as _block_pairs derives, and |D2|/w <= P, the largest
+    |b_k| / l_k of the span, and (D1/w)^2 = mu^2 <= Q, the largest mu_k^2,
+    so this allowance does not depend on the window's length; the block
+    test's r divides by the gap between its blocks, which is 0 between
+    neighbours.  The scan takes P over the whole column, which only
+    loosens the bound and spares a per-span reduction.
+
+    The bound is formed from the computed mu_k and b_k / l_k, three
+    roundings each, two differences and a division.  A computed e_k is
+    within 4u |b_k| / l_k + 8u mu_k^2 of the exact one, so max e_k is at
+    most its computed value plus 4u P + 8u Q; M - m is at most the
+    computed gap plus 6u sqrt(Q), which adds 6u Q to (M - m)^2 / 4.  So a
+    computed variance in the span is below the bound formed from computed
+    values plus 13u P + 23u Q.  The bound's own roundings, in the gap, its
+    square and three sums, add at most about 5u (P + Q), since the gap's
+    square over 4 is at most Q and |e_k| <= P + Q, and P and Q formed from
+    computed values are within 7u of the exact ones, relative.  All of it
+    is below the allowance 16 eps (P + Q) = 32u (P + Q), so
+
+        bound = (M - m)^2 / 4 + max e_k + 16 eps (P + Q)
+
+    formed in floating point is at least every variance _window_var reads
+    inside the span.  A NaN bound, which only a zero-length segment or an
+    overflow makes, is never below the maximum, so its unit is read.
+
+    A NaN variance, which only an overflow in the prefix integrals makes,
+    takes its column of the diagonal, its span read, or its block pair and
+    column, out of the maximum: the reduction passes it on, and np.fmax
+    drops it.
+
+    The gain rests on the bounds and tests excluding most units and block
+    pairs.  Counting the span reads, the band, the seeds and the block
+    reads, and a pair read in one of F columns as 1/F of a pair, the scan
+    reads about 2% of the pairs on the oracle's 64-cell draws over the 2^9
+    grid, where it gathers 7% of the units, and 0.9-1.6% on phi0 and the
+    two rim extremals at levels 12, where it gathers 2 units of 256 or
+    fewer.  It sweeps the band and reads 9-11% on the ladders of
+    build_ladder's table at levels 6 (18% on the 1,745 nodes of (8, 0.3,
+    3)) and 2.7% on the 16,041-node ladder of depth 6 at levels 10, where
+    the outer-window bound alone left nearly all of them.
     """
     n, f = s1.shape
     best = np.zeros(f)
     wmin = _MIN_WINDOW * (t[-1] - t[0])
-    tw = t[:, None]
-    any_short = bool((np.diff(t) < wmin).any())
-    for d in range(1, min(2 * _BLOCK, n - 1) + 1):
-        w, v = _window_var(tw[d:], tw[:-d], s1[d:], s1[:-d], s2[d:], s2[:-d])
-        if any_short:
-            np.fmax(best, v.max(axis=0, where=w >= wmin, initial=-np.inf), out=best)
+    # the span reads and the block steps index s1 and s2 flat, node x of column c at x f + c
+    s1, s2 = np.ascontiguousarray(s1), np.ascontiguousarray(s2)
+    b = _BLOCK
+    bound = _span_bounds(t, s1, s2)
+    cols = np.arange(f)
+    # each column's span of largest bound seeds the maximum and is not read again
+    top = np.argmax(bound, axis=0)
+    # a span read's windows from a row to a node at or before it divide by w <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _read_pairs(t, s1, s2, wmin, best, top * b, top * b + 1, cols, 2 * b)
+        bound[top, cols] = -np.inf
+        # the (span, column) units whose bound reaches the maximum
+        ks, cs = np.nonzero(~(bound < best))
+        if 2 * ks.size < bound.size:
+            _read_pairs(t, s1, s2, wmin, best, ks * b, ks * b + 1, cs, 2 * b)
         else:
-            np.fmax(best, np.maximum.reduce(v), out=best)
-    if n - 1 > 2 * _BLOCK:
-        # the block steps index s1 and s2 flat, node x of column c at x f + c
-        _block_pairs(t, np.ascontiguousarray(s1), np.ascontiguousarray(s2), wmin, best)
+            tw = t[:, None]
+            any_short = bool((np.diff(t) < wmin).any())
+            for d in range(1, min(2 * b, n - 1) + 1):
+                w, v = _window_var(tw[d:], tw[:-d], s1[d:], s1[:-d], s2[d:], s2[:-d])
+                if any_short:
+                    np.fmax(best, v.max(axis=0, where=w >= wmin, initial=-np.inf), out=best)
+                else:
+                    np.fmax(best, np.maximum.reduce(v), out=best)
+    if n - 1 > 2 * b:
+        _block_pairs(t, s1, s2, wmin, best)
     return best
+
+
+def _span_bounds(t, s1, s2):
+    """Bounds, (spans, F), on the variance _window_var reads of any window inside a span.
+
+    Span k runs from node kb to node min(kb + 2b, n - 1), b = _BLOCK: the
+    segments of blocks k and k + 1, or of the last block alone.  With mu_k
+    and e_k the mean and variance of segment k, M and m the largest and
+    least mu_k of the span, Q the larger of M^2 and m^2, and P the largest
+    |b_k| / l_k of the column, the bound is (M - m)^2 / 4 + max e_k +
+    16 eps (P + Q), derived in _pair_scan.  A NaN bound, which only a
+    zero-length segment or an overflow makes, is never below the maximum.
+    """
+    n = s1.shape[0]
+    first = np.arange(-(-(n - 1) // _BLOCK)) * _BLOCK
+
+    def spans(op, x):
+        """op over the segments of each span, from op over each block's."""
+        x = op.reduceat(x, first)
+        x[:-1] = op(x[:-1], x[1:])
+        return x
+
+    with np.errstate(all="ignore"):
+        width = np.diff(t)[:, None]
+        mu = np.diff(s1, axis=0)
+        mu /= width
+        e = np.diff(s2, axis=0)
+        e /= width
+        hi, lo = spans(np.maximum, mu), spans(np.minimum, mu)
+        p = np.maximum(e.max(axis=0), -e.min(axis=0))
+        mu *= mu
+        e -= mu
+        gap = hi - lo
+        return 0.25 * (gap * gap) + spans(np.maximum, e) + 16.0 * np.finfo(float).eps * (
+            p + np.maximum(hi * hi, lo * lo))
+
+
+def _read_pairs(t, s1, s2, wmin, best, x0, y0, c, ny):
+    """Raise best[c] to the largest variance of the windows from nodes x0 + [0, b) to y0 + [0, ny).
+
+    One entry of x0, y0 and c per read, b = _BLOCK, gathered about _TILE
+    values per _window_var call; a node index past n - 1 reads node n - 1.
+    A batch whose shortest window is below wmin, or ends at or before it
+    starts, masks those windows with their own w.
+    """
+    n, f = s1.shape
+    s1f, s2f = s1.reshape(-1), s2.reshape(-1)
+    rows, nodes = np.arange(_BLOCK)[:, None], np.arange(ny)[:, None]
+    batch = _TILE // (_BLOCK * ny)
+    for k0 in range(0, c.size, batch):
+        pick = slice(k0, k0 + batch)
+        k, col = c[pick].size, c[pick]
+        # rows x and nodes y, (b, k) and (ny, k), and their entries in s1f, s2f
+        x = np.minimum(x0[pick] + rows, n - 1)
+        y = np.minimum(y0[pick] + nodes, n - 1)
+        xs, ys = x * f + col, y * f + col
+        w, v = _window_var(t[y], t[x][:, None], s1f[ys], s1f[xs][:, None],
+                           s2f[ys], s2f[xs][:, None])
+        v = v.reshape(-1, k)
+        if (t[y[0]] - t[x[-1]] < wmin).any():
+            v = v.max(axis=0, where=w.reshape(-1, k) >= wmin, initial=-np.inf)
+        else:
+            v = np.maximum.reduce(v)
+        np.fmax.at(best, col, v)
 
 
 def _block_pairs(t, s1, s2, wmin, best):
@@ -716,8 +859,7 @@ def _block_pairs(t, s1, s2, wmin, best):
 
     ta, tc, tg = t[first], t[last[:-2]], t[last]
     s1a, s2a, s1g, s2g = s1[first], s2[first], s1[last], s2[last]
-    group, chunk, batch = max(1, _TILE // (2 * f)), _TILE // b, _TILE // (b * (b + 1))
-    span = np.arange(b + 1)
+    group, chunk = max(1, _TILE // (2 * f)), _TILE // b
     i0 = 0
     while i0 < nb - 2:
         # row blocks i0 .. i1 - 1 against blocks js, as a rectangle of about group pairs
@@ -749,21 +891,7 @@ def _block_pairs(t, s1, s2, wmin, best):
                 keep = ~excluded(best[c] - r[i, j], c, i + i0, j + js.start)
             # the first nodes of the blocks I and J of each pair and column to read
             ri, rj, rc = first[i[keep] + i0], first[j[keep] + js.start], c[keep]
-            for k0 in range(0, ri.size, batch):
-                pick = slice(k0, k0 + batch)
-                k, col = ri[pick].size, rc[pick]
-                # rows x of I and nodes y of J, (b, k) and (b + 1, k), and their entries in s1f, s2f
-                x = ri[pick] + span[:-1, None]
-                y = np.minimum(rj[pick] + span[:, None], n - 1)
-                xs, ys = x * f + col, y * f + col
-                w, v = _window_var(t[y], t[x][:, None], s1f[ys], s1f[xs][:, None],
-                                   s2f[ys], s2f[xs][:, None])
-                v = v.reshape(-1, k)
-                if (t[y[0]] - t[x[-1]] < wmin).any():
-                    v = v.max(axis=0, where=w.reshape(-1, k) >= wmin, initial=-np.inf)
-                else:
-                    v = np.maximum.reduce(v)
-                np.fmax.at(best, col, v)
+            _read_pairs(t, s1, s2, wmin, best, ri, rj, rc, b + 1)
         i0 = i1
 
 

@@ -117,7 +117,7 @@ def test_a_one_ulp_difference_in_a_scan_reading_is_named(same_outputs, tmp_path,
     b = fake_tree(tmp_path / "b", "0.1 * seed",
                   f"math.nextafter({flat}, 2.0) if (f, levels) == (('ladder', 4, 0.2, 6), 10) else {flat}")
     assert same_outputs.compare_trees(a, a, tmp_path) == 0
-    assert capsys.readouterr().out.endswith(", 38 scan readings and 77 moment readings\n")
+    assert capsys.readouterr().out.endswith(", 42 scan readings and 77 moment readings\n")
     assert same_outputs.compare_trees(a, b, tmp_path) == 1
     assert capsys.readouterr().out == "differs: scan reading bmo_norm(build_ladder(4, 0.2, 6), 10)\n"
 

@@ -66,7 +66,9 @@ def outcome(fn):
 def scan_readings(B) -> dict:
     """Seminorm readings by name: build_ladder's table at levels 6, 8 and 10 and
     one level deeper at levels 10, phi0 at levels 8 to 14, the two rim
-    extremals at levels 12, and criterion 08's 10^4 draws (seed 7, 64 cells)."""
+    extremals at levels 12, criterion 08's 10^4 draws (seed 7, 64 cells), and
+    the first 500 of those seeds drawn at 2, 7, 16 and 256 cells; 7 cells
+    put the cell edges off the dyadic grid."""
     import numpy as np
 
     jobs = {}
@@ -80,6 +82,9 @@ def scan_readings(B) -> dict:
     jobs["bmo_norm(optimizer_uminus(1, 2.2), 12)"] = lambda: B.bmo_norm(B.optimizer_uminus(1.0, 2.2), 12)
     seeds = [int(s) for s in np.random.SeedSequence(7).generate_state(10_000, dtype=np.uint64)]
     jobs["random_step_values(criterion 08 seeds, 64, 1)"] = lambda: B.random_step_values(seeds, 64, 1.0)
+    for cells in (2, 7, 16, 256):
+        jobs[f"random_step_values(500 criterion 08 seeds, {cells}, 1)"] = (
+            lambda cells=cells: B.random_step_values(seeds[:500], cells, 1.0))
     return {name: outcome(fn) for name, fn in jobs.items()}
 
 
