@@ -25,7 +25,6 @@ from .domain import (
     Region,
     as_triples,
     chord_params,
-    classify_batch,
     classify_envelopes,
     envelope_batch,
     leaf_regions,
@@ -208,24 +207,29 @@ def _newton(f, lo, hi, increasing: bool, scale):
     return u, res, state
 
 
-def _raise_outside(params: Params, x1: float, x2: float, x3: float):
-    eps = params.eps
-    if not np.isfinite([x1, x2, x3]).all():
-        raise DomainError(f"point ({x1}, {x2}, {x3}) has a non-finite coordinate")
-    if not omega2_contains(eps, x1, x2):
-        raise DomainError(
-            f"x2 = {x2} outside [x1^2, x1^2 + eps^2] = [{x1 * x1}, {x1 * x1 + eps * eps}]"
-        )
-    lo, hi = (float(v[0]) for v in envelope_batch(params, [abs(x1)], [x2]))
-    raise DomainError(f"x3 = {x3} outside the reachable interval [{lo}, {hi}] at ({x1}, {x2})")
-
-
-def _refuse_outside(params: Params, X: np.ndarray, regions: np.ndarray) -> np.ndarray:
-    """The regions of the rows of X, after a DomainError at the first row outside the body."""
+def _inside(params: Params, pts):
+    """(X, regions, low, high): pts as an (n, 3) array with classify_envelopes' regions
+    and envelope pair, after a DomainError at the first row outside the body."""
+    X = as_triples(pts)
+    regions, low, high = classify_envelopes(params, X)
     bad = np.flatnonzero(regions == Region.OUTSIDE)
     if bad.size:
-        _raise_outside(params, *(float(v) for v in X[bad[0]]))
-    return regions
+        i, eps = bad[0], params.eps
+        x1, x2, x3 = (float(v) for v in X[i])
+        if not np.isfinite([x1, x2, x3]).all():
+            raise DomainError(f"point ({x1}, {x2}, {x3}) has a non-finite coordinate")
+        if not omega2_contains(eps, x1, x2):
+            raise DomainError(
+                f"x2 = {x2} outside [x1^2, x1^2 + eps^2] = [{x1 * x1}, {x1 * x1 + eps * eps}]"
+            )
+        raise DomainError(f"x3 = {x3} outside the reachable interval [{low[i]}, {high[i]}] at ({x1}, {x2})")
+    return X, regions, low, high
+
+
+def _slack(eps: float, a1, x2, x3, low, high):
+    """(strip, envelope) distances of the points (|x1|, x2, x3) from the parabolas
+    bounding the strip and from the envelope pair (low, high)."""
+    return np.minimum(x2 - a1 * a1, a1 * a1 + eps * eps - x2), np.minimum(x3 - low, high - x3)
 
 
 def solve_u_batch(params: Params, pts):
@@ -238,8 +242,8 @@ def solve_u_batch(params: Params, pts):
     tie resolves to whichever bracket holds x3.  The residual target is
     _RESIDUAL_REL * max(1, |x3|) for every point.
     """
-    X = as_triples(pts)
-    return _solve(params, X, _refuse_outside(params, X, classify_batch(params, X)))
+    X, regions, _, _ = _inside(params, pts)
+    return _solve(params, X, regions)
 
 
 def _solve(params: Params, X: np.ndarray, regions: np.ndarray):
@@ -318,19 +322,17 @@ def hessian(params: Params, x) -> np.ndarray:
 def hessian_batch(params: Params, pts) -> np.ndarray:
     """Symmetrized central-difference Hessians from the analytic gradient.
 
-    Per-point steps start at _FD_STEP * max(1, |coord|) and shrink until
-    every displaced point keeps a fifth of its boundary slack, so the
-    batched gradient call below never trips its interiority guard.  A point
-    still unsafe after _FD_SHRINKS rounds raises BoundaryError.
+    Outside points raise DomainError as in value_batch.  Per-point steps start
+    at _FD_STEP * max(1, |coord|) and shrink until each displaced point keeps
+    a fifth of its boundary slack, so the batched gradient call never trips its
+    guard; a point still unsafe after _FD_SHRINKS rounds raises BoundaryError.
     """
-    X = as_triples(pts)
+    X, _, low, high = _inside(params, pts)
     n = len(X)
     eps = params.eps
     x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
     a1 = np.abs(x1)
-    low, high = envelope_batch(params, a1, x2)
-    slack2 = np.minimum(x2 - a1 * a1, a1 * a1 + eps * eps - x2)
-    slack3 = np.minimum(x3 - low, high - x3)
+    slack2, slack3 = _slack(eps, a1, x2, x3, low, high)
     h1 = _FD_STEP * np.maximum(1.0, a1)
     h2 = np.minimum(_FD_STEP * np.maximum(1.0, x2), 0.25 * slack2)
     h3 = np.minimum(_FD_STEP * np.maximum(1.0, np.abs(x3)), 0.25 * slack3)
@@ -341,9 +343,9 @@ def hessian_batch(params: Params, pts) -> np.ndarray:
         for dx1, dx2 in ((h1, z), (-h1, z), (z, h2), (z, -h2)):
             a1d = np.abs(x1 + dx1)
             x2d = x2 + dx2
-            lo_d, hi_d = envelope_batch(params, a1d, x2d)
-            ok &= (np.minimum(x2d - a1d * a1d, a1d * a1d + eps * eps - x2d) > 0.2 * slack2)
-            ok &= (np.minimum(x3 - lo_d, hi_d - x3) > 0.2 * slack3)
+            s2, s3 = _slack(eps, a1d, x2d, x3, *envelope_batch(params, a1d, x2d))
+            ok &= s2 > 0.2 * slack2
+            ok &= s3 > 0.2 * slack3
         if ok.all():
             break
         h1 = np.where(ok, h1, 0.2 * h1)
@@ -375,12 +377,11 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
     BoundaryError as in gradient_batch, and rows whose plane's u-slope
     rounds to 0 (far out at p = 1, where k rounds to m) SingularityError.
     """
-    X = as_triples(pts)
+    X, regions, _, _ = _inside(params, pts)
     p, r, eps = params.p, params.r, params.eps
     if params.regime is Regime.DEGENERATE:
-        _refuse_outside(params, X, classify_batch(params, X))
         return np.zeros((len(X), 3, 3))
-    u, central, skel = solve_u_batch(params, X)
+    u, central, skel = _solve(params, X, regions)
     _refuse_boundary(X, skel, 0.0)
     x1, x2 = X[:, 0], X[:, 1]
     # floor keeps the u^(q-3) factors finite on the axis leaf; the collapsed
@@ -402,11 +403,10 @@ def hessian_leaf_batch(params: Params, pts) -> np.ndarray:
 
 def value_batch(params: Params, pts) -> np.ndarray:
     """Vectorized value() over an (n, 3) array of moment triples."""
-    X = as_triples(pts)
+    X, regions, _, _ = _inside(params, pts)
     if params.regime is Regime.DEGENERATE:
-        _refuse_outside(params, X, classify_batch(params, X))
         return leaf_value(params, X, None, None, None)
-    return leaf_value(params, X, *solve_u_batch(params, X))
+    return leaf_value(params, X, *_solve(params, X, regions))
 
 
 def leaf_value(params: Params, X: np.ndarray, u, central, skel) -> np.ndarray:
@@ -437,24 +437,15 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
     Points outside the body raise DomainError, as in value_batch; points
     within margin of its boundary raise BoundaryError.
     """
-    X = as_triples(pts)
+    X, regions, low, high = _inside(params, pts)
     if params.regime is Regime.DEGENERATE:
-        _refuse_outside(params, X, classify_batch(params, X))
         g = np.array([0.0, 1.0, 0.0]) if params.r == 2 else np.array([0.0, 0.0, 1.0])
         return np.tile(g, (len(X), 1))
-    # the envelopes classify_envelopes tested x3 against serve the margin test
-    regions, low2, high2 = classify_envelopes(params, X)
-    u, central, _ = _solve(params, X, _refuse_outside(params, X, regions))
+    u, central, _ = _solve(params, X, regions)
     p, r, eps = params.p, params.r, params.eps
-    a1, x2, x3 = np.abs(X[:, 0]), X[:, 1], X[:, 2]
-    strip = margin * max(1.0, eps * eps)
-    gap = margin * np.maximum(1.0, high2 - low2)
-    bad = (
-        (x2 - a1 * a1 < strip)
-        | ((a1 * a1 + eps * eps) - x2 < strip)
-        | (x3 - low2 < gap)
-        | (high2 - x3 < gap)
-    )
+    # the envelopes classify_envelopes tested x3 against serve the margin test
+    strip, gap = _slack(eps, np.abs(X[:, 0]), X[:, 1], X[:, 2], low, high)
+    bad = (strip < margin * max(1.0, eps * eps)) | (gap < margin * np.maximum(1.0, high - low))
     _refuse_boundary(X, bad, margin)
     t1p, t2p, dp, _ = _coeffs(p, eps, u, central, _transforms(p, eps, u, central))
     t1r, t2r, dr, _ = _coeffs(r, eps, u, central, _transforms(r, eps, u, central))

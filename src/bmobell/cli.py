@@ -154,9 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bmobell")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_r=True):
+    def common(sp):
         sp.add_argument("--p", type=float, required=True)
-        sp.add_argument("--r", type=float, required=need_r)
+        sp.add_argument("--r", type=float, required=True)
         sp.add_argument("--eps", type=float, default=1.0)
 
     sp = sub.add_parser("eval", help="evaluate the extremal bound at one point")

@@ -900,6 +900,8 @@ def prefix_integrals(f: PiecewiseFn, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) < 0.0):
         raise DomainError("prefix points must form a sorted one-dimensional array")
+    if not np.isfinite(t).all():
+        raise DomainError("prefix points must be finite")
     if t[0] < f.a or t[-1] > f.b:
         raise DomainError(f"prefix points outside the domain [{f.a}, {f.b}]")
     nodes = np.unique(np.concatenate([t, f.breakpoints()]))
@@ -949,9 +951,9 @@ def transfer(f: PiecewiseFn, J) -> PiecewiseFn:
     c0 - c1 ln s.
     """
     j1, j2 = (float(v) for v in J)
-    if not j2 > j1:
-        raise DomainError(f"target interval [{j1}, {j2}] is degenerate")
     s = (j2 - j1) / f.length
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"target interval [{j1}, {j2}] is degenerate or not finite (scale {s})")
     pa = j1 + (f._pa - f.a) * s
     pb = j1 + (f._pb - f.a) * s
     pa[0], pb[-1] = j1, j2
@@ -1051,24 +1053,31 @@ def build_ladder(n: int, h: float, depth: int) -> PiecewiseFn:
     """
     depth = _count("depth", depth, 0)
     # np.linspace takes an integer cell count; with at least one cell every
-    # level keeps a block, and PiecewiseFn checks n and h on the ladder pieces
+    # level keeps a block, and PiecewiseFn checks n on the ladder pieces
     n = _count("ladder branching", n, 1)
+    if not (h > 0 and math.isfinite(h)):
+        raise DomainError(
+            f"ladder needs an integer branching >= 2 and a finite step > 0, got {float(n)} and {float(h)}"
+        )
     # the blocks of a level, their cells, and for each cell a rising and a
     # falling ramp around the next level's block
     a, b, beta = np.array([0.25]), np.array([0.75]), 0.0
     fields = []  # (kind, pa, pb, c0, c1, sig, tau, nb) per group of pieces
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         edges = np.linspace(a, b, n + 1, axis=1)
         lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         half = 0.5 * (hi - lo)
         mid = lo + half
         rho = -half * math.expm1(-h)
+        a, b = lo + rho, hi - rho
+        if not ((lo < a) & (a < b) & (b < hi)).all():
+            raise DomainError(f"ladder step h = {h} empties a ramp or block of level {level}")
         # math.log, not np.log, which differs from it in the last bit on some doubles
         c0 = beta + np.array(list(map(math.log, half.tolist())))
         one, zero = np.ones(lo.size), np.zeros(lo.size)
-        fields.append((one, lo, lo + rho, c0, -one, -one, mid, zero))  # rising ramps
-        fields.append((one, hi - rho, hi, c0, -one, one, mid, zero))  # falling ramps
-        a, b, beta = lo + rho, hi - rho, beta + h
+        fields.append((one, lo, a, c0, -one, -one, mid, zero))  # rising ramps
+        fields.append((one, b, hi, c0, -one, one, mid, zero))  # falling ramps
+        beta += h
     one, zero = np.ones(a.size), np.zeros(a.size)
     fields.append((2 * one, a, b, beta * one, h * one, one, zero, n * one))  # ladder blocks
     # zero on [-4, 1/4) and on [3/4, 5)

@@ -22,8 +22,6 @@ import numpy as np
 from . import testfn
 from .bellman import (
     hessian_leaf_batch,
-    leaf_value,
-    solve_u_batch,
     value_batch,
     gradient_batch,
 )
@@ -121,17 +119,17 @@ def check_skeleton(params: Params, t_grid) -> VerifyReport:
     return _report("skeleton", _pdict(params), len(t_grid), res[i], witness)
 
 
-def _interior_samples(params: Params, n: int, rng, margin: float = 1e-3):
+def _interior_samples(params: Params, n: int, rng):
     """Uniform draws strictly inside the moment body.
 
-    Parametrizing by the strip and envelope fractions makes the margin
+    Strip and envelope fractions drawn in [1e-3, 1 - 1e-3] make the margin
     exact, with no rejection loop to bias the tails.
     """
     eps = params.eps
     x1 = rng.uniform(-3.0 * eps, 3.0 * eps, n)
-    x2 = x1 * x1 + eps * eps * rng.uniform(margin, 1.0 - margin, n)
+    x2 = x1 * x1 + eps * eps * rng.uniform(1e-3, 1.0 - 1e-3, n)
     lo, hi = envelope_batch(params, np.abs(x1), x2)
-    x3 = lo + (hi - lo) * rng.uniform(margin, 1.0 - margin, n)
+    x3 = lo + (hi - lo) * rng.uniform(1e-3, 1.0 - 1e-3, n)
     return np.column_stack([x1, x2, x3])
 
 
@@ -295,13 +293,15 @@ def edge_ratio(params: Params, u):
     if params.eps != 1.0:
         raise DomainError("edge ratio is defined on the unit oscillation scale")
     u = np.asarray(u, dtype=float)
+    if not ((u >= 0.0) & (u <= 1.0)).all():
+        raise DomainError("edge ratio needs chord values u in [0, 1]")
     p, r = params.p, params.r
     num = 2.0 * u ** r + (1.0 - u) * m_fn(r, 1.0, u)
     den = 2.0 * u ** p + (1.0 - u) * m_fn(p, 1.0, u)
     return num / den
 
 
-# points per solve_u_batch call of the centred-slice scan, which bounds its memory
+# points per value_batch call of the centred-slice scan, which bounds its memory
 _SLICE_BLOCK = 1 << 12
 
 
@@ -312,7 +312,7 @@ def extract_constant(params: Params, grid_density: int):
     best ratio.  Ties within a relative 1e-12 band resolve toward larger
     second and third coordinates, which pins the reported argmax to the
     far corner of the ridge the ratio is constant along.  The slice goes
-    through solve_u_batch and leaf_value, _SLICE_BLOCK points at a time.
+    through value_batch, _SLICE_BLOCK points at a time.
     """
     if params.regime is not Regime.MAX:
         raise DomainError("constant extraction runs in the concave regime")
@@ -327,7 +327,7 @@ def extract_constant(params: Params, grid_density: int):
         lo, hi = envelope_batch(params, np.zeros_like(x2), x2)
         x3 = np.linspace(lo, hi, n, axis=1)
         X = np.column_stack([np.zeros(x3.size), np.repeat(x2, n), x3.ravel()])
-        ratios = (leaf_value(params, X, *solve_u_batch(params, X)) / X[:, 2]).reshape(x3.shape)
+        ratios = (value_batch(params, X) / X[:, 2]).reshape(x3.shape)
         m = ratios.max(axis=1)
         # last column within the row's tie band
         j = n - 1 - np.argmax((ratios >= (m - 1e-12 * np.abs(m))[:, None])[:, ::-1], axis=1)

@@ -36,3 +36,12 @@ def test_a_result_line_is_read(bench_pair, tmp_path):
     root = fake_root(tmp_path, 'print("warming up")\nprint(\'{"correct": true, "failed": 0}\')\n')
     got = bench_pair.run_side(root, "oracle", 11, 1.0)
     assert got == {"correct": True, "failed": 0, "returncode": 0, "checks_failed": []}
+
+
+def test_src_lines_counts_each_module_and_the_total(bench_pair, tmp_path):
+    pkg = tmp_path / "src" / "bmobell"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text('"""doc"""\n\n\ndef f():\n    pass\n')
+    (pkg / "notes.txt").write_text("not a module\n")
+    assert bench_pair.src_lines(tmp_path) == {"files": {"a.py": 2, "b.py": 5}, "total": 7}

@@ -1,6 +1,7 @@
 """Geometry layer: strip membership, tangent chords, envelopes, regions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,3 +250,19 @@ def test_classify_batch_matches_the_pointwise_rules():
         assert got.tolist() == want
         assert {Region.OUTSIDE, Region.SKELETON, Region.XI_ZERO, Region.XI_PLUS, Region.XI_MINUS} <= set(want)
         assert [classify(pa, x) for x in X[:50]] == want[:50]
+
+
+DOMAIN_REFUSALS = [
+    (lambda: omega2_contains(0.0, 0.3, 0.5), "eps must be positive, got 0.0"),
+    (lambda: tangent_params(1.0, 0.3, 2.0), "point (0.3, 2.0) outside the strip for eps = 1.0"),
+    (lambda: a_m(0.5, 1.0, 0.3, 0.5), "p must be >= 1, got 0.5"),
+    (lambda: a_k(0.5, 1.0, 0.3, 0.5), "p must be >= 1, got 0.5"),
+    (lambda: a_m(3.0, 1.0, 0.3, 2.0), "point (0.3, 2.0) outside the strip for eps = 1.0"),
+    (lambda: a_k(3.0, 1.0, 0.3, 0.0), "point (0.3, 0.0) outside the strip for eps = 1.0"),
+]
+
+
+@pytest.mark.parametrize("call,text", DOMAIN_REFUSALS)
+def test_domain_refuses_bad_input_by_name(call, text):
+    with pytest.raises(DomainError, match=re.escape(text)):
+        call()

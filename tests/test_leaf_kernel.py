@@ -24,6 +24,8 @@ from bmobell import (
     classify,
     gradient,
     gradient_batch,
+    hessian,
+    hessian_batch,
     hessian_leaf_batch,
     solve_leaf,
     transition_level,
@@ -171,14 +173,14 @@ def test_transition_leaf_points_solve_in_either_family(monkeypatch):
     assert np.all(central) and np.all(u == pa.eps)
     want = value_batch(pa, pts)
 
-    real = bellman.classify_batch
+    real = bellman.classify_envelopes
 
     def chord_side(params, X):
-        reg = real(params, X)
+        reg, low, high = real(params, X)
         reg[reg == Region.XI_ZERO] = Region.XI_PLUS
-        return reg
+        return reg, low, high
 
-    monkeypatch.setattr(bellman, "classify_batch", chord_side)
+    monkeypatch.setattr(bellman, "classify_envelopes", chord_side)
     u2, central2, _ = solve_u_batch(pa, pts)
     assert not np.any(central2) and np.all(u2 == pa.eps)
     np.testing.assert_allclose(value_batch(pa, pts), want, rtol=1e-14)
@@ -195,17 +197,17 @@ def test_misclassified_points_fall_back_to_the_other_family(monkeypatch):
     u, central, _ = solve_u_batch(pa, pts)
     assert 0 < central.sum() < len(pts)
 
-    real = bellman.classify_batch
+    real = bellman.classify_envelopes
 
     def flipped(params, X):
-        reg = real(params, X)
+        reg, low, high = real(params, X)
         fan = reg == Region.XI_ZERO
         chord = (reg == Region.XI_PLUS) | (reg == Region.XI_MINUS)
         reg[fan] = Region.XI_PLUS
         reg[chord] = Region.XI_ZERO
-        return reg
+        return reg, low, high
 
-    monkeypatch.setattr(bellman, "classify_batch", flipped)
+    monkeypatch.setattr(bellman, "classify_envelopes", flipped)
     u2, central2, _ = solve_u_batch(pa, pts)
     assert np.array_equal(central2, central)
     assert np.array_equal(u2, u)
@@ -343,7 +345,7 @@ def test_hessian_leaf_batch_evaluates_m_once_per_exponent(pair, monkeypatch):
     pa = Params(*pair)
     rows = interior(pa, 250, seed=23)
     calls = []
-    real_m, real_solve = bellman.m_fn, bellman.solve_u_batch
+    real_m, real_solve = bellman.m_fn, bellman._solve
 
     def counted(*args, **kwargs):
         calls.append(args[0])
@@ -355,7 +357,7 @@ def test_hessian_leaf_batch_evaluates_m_once_per_exponent(pair, monkeypatch):
         return out
 
     monkeypatch.setattr(bellman, "m_fn", counted)
-    monkeypatch.setattr(bellman, "solve_u_batch", solve)
+    monkeypatch.setattr(bellman, "_solve", solve)
     bellman.hessian_leaf_batch(pa, rows)
     assert calls == [pa.p, pa.r]
 
@@ -417,6 +419,10 @@ def test_outside_points_raise_the_same_message_everywhere(pe, x, text):
         lambda: solve_leaf(pa, x),
         lambda: value_batch(pa, [inside, x, inside]),
         lambda: gradient_batch(pa, [inside, x]),
+        lambda: solve_u_batch(pa, [inside, x]),
+        lambda: hessian_leaf_batch(pa, [inside, x]),
+        lambda: hessian_batch(pa, [inside, x]),
+        lambda: hessian(pa, x),
     ):
         with pytest.raises(DomainError, match=re.escape(text)):
             call()

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -247,3 +248,11 @@ def test_import_leaves_adaptive_quadrature_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("p", [1.5, 1.9])
+def test_quad_m_refuses_its_singular_derivative_at_zero(p):
+    # m' carries u^(p-2) at u = 0 for p < 2
+    text = f"derivative of order 1 of m is singular at u = 0 for p = {p} < 2"
+    with pytest.raises(SingularityError, match=re.escape(text)):
+        quad_m(p, 1.0, np.array([0.0, 0.5]), 1)

@@ -1,7 +1,9 @@
 """Piecewise test functions: exact moments, oscillation norm, rearrangements."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1046,3 +1048,35 @@ def test_csv_constant_rows_ignore_the_log_fields():
     f = from_csv("kind,a,b,c0,c1,sigma,tau\nconst,0,1,0.5,7,-inf,nan\n")
     assert [f._c1[0], f._sig[0], f._tau[0]] == [0.0, 1.0, 0.0]
     assert to_csv(f) == "kind,a,b,c0,c1,sigma,tau\nconst,0,1,0.5,0,1,0\n"
+
+
+TESTFN_REFUSALS = [
+    (lambda: PiecewiseFn([object()]), "unsupported piece <object object at "),
+    (lambda: PiecewiseFn.from_arrays([0, 0], [0, 1], [1, 2], [0, 0], [0, 0], [1, 1], [0, 0], [0]),
+     "piece fields must be one-dimensional arrays of one length"),
+    (lambda: prefix_integrals(optimizer_phi0(), [0.5, 0.0]), "prefix points must form a sorted one-dimensional array"),
+    (lambda: prefix_integrals(optimizer_phi0(), [0.0, 3.0]), "prefix points outside the domain [-2.0, 2.0]"),
+    (lambda: transfer(optimizer_phi0(), (1.0, 1.0)), "target interval [1.0, 1.0] is degenerate or not finite"),
+    (lambda: optimizer_uplus(0.0, 1.0), "eps must be positive, got 0.0"),
+    (lambda: optimizer_uminus(-1.0, 1.0), "eps must be positive, got -1.0"),
+    # non-finite input is named, not passed on as nan, a warning or another piece's fault
+    (lambda: prefix_integrals(optimizer_phi0(), [0.0, math.nan]), "prefix points must be finite"),
+    (lambda: transfer(optimizer_phi0(), (0.0, math.inf)), "target interval [0.0, inf] is degenerate or not finite"),
+    # finite ends whose scale overflows or underflows
+    (lambda: transfer(optimizer_phi0(), (-1e308, 1e308)), "target interval [-1e+308, 1e+308] is degenerate or not"),
+    (lambda: transfer(optimizer_phi0(), (0.0, 5e-324)), "target interval [0.0, 5e-324] is degenerate or not finite"),
+    (lambda: build_ladder(4, math.inf, 2),
+     "ladder needs an integer branching >= 2 and a finite step > 0, got 4.0 and inf"),
+    (lambda: build_ladder(4, 0, 3), "ladder needs an integer branching >= 2 and a finite step > 0, got 4.0 and 0.0"),
+    # a step that rounds a level's ramps or block to nothing is named, not math.log(0)
+    (lambda: build_ladder(4, 37.0, 2), "ladder step h = 37.0 empties a ramp or block of level 1"),
+    (lambda: build_ladder(4, 30.0, 2), "ladder step h = 30.0 empties a ramp or block of level 2"),
+]
+
+
+@pytest.mark.parametrize("call,text", TESTFN_REFUSALS)
+def test_testfn_refuses_bad_input_by_name(call, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(text)):
+            call()

@@ -3,6 +3,7 @@ importantly, fails loudly when fed a corrupted route."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,3 +391,18 @@ def test_run_suite_degenerate_skips_curvature_checks():
 def test_run_suite_unknown_name():
     with pytest.raises(DomainError):
         run_suite("everything", Params(1.0, 3.0))
+
+
+VERIFY_REFUSALS = [
+    (lambda: check_inequality_oracle(Params(1.0, 2.0), 10, 8, 0), "oracle needs a non-degenerate exponent pair"),
+    # the edge is parametrized by u in [0, 1]; past 1 the ratio turns negative
+    (lambda: edge_ratio(Params(1.0, 3.0), [0.5, 1.5]), "edge ratio needs chord values u in [0, 1]"),
+    (lambda: edge_ratio(Params(1.0, 3.0), [-0.1]), "edge ratio needs chord values u in [0, 1]"),
+    (lambda: edge_ratio(Params(1.0, 3.0), [math.nan]), "edge ratio needs chord values u in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("call,text", VERIFY_REFUSALS)
+def test_verify_refuses_bad_input_by_name(call, text):
+    with pytest.raises(DomainError, match=re.escape(text)):
+        call()

@@ -12,7 +12,9 @@ with S the benchmark's ``run_seconds``, in its own root, one after the
 other; the side that goes first alternates from seed to seed, so a drift
 of the machine's speed falls on both sides alike.  The change side is this
 checkout's working tree, untracked files included; the record names its
-``src/`` by the git tree hash that a commit of that tree would carry.
+``src/`` by the git tree hash that a commit of that tree would carry, and
+gives both sides' line counts of ``src/bmobell/*.py``, per file and in
+total, under ``src_lines``.
 
 The output file holds every run's result and, per workload, each side's
 count of correct runs and of failed operations.  A pair counts towards the
@@ -51,6 +53,12 @@ def working_src_tree(tmp: Path) -> str:
     env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "index")}
     git("add", "--all", "src", env=env)
     return git("write-tree", "--prefix=src/", env=env)
+
+
+def src_lines(root: Path) -> dict:
+    """Newline counts, as wc -l gives them, of root's src/bmobell/*.py, per file and in total."""
+    files = {p.name: p.read_bytes().count(b"\n") for p in sorted((root / "src" / "bmobell").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,6 +152,7 @@ def main(argv=None) -> int:
             # content hashes of the measured sources, stable across commits
             "parent_src_tree": git("rev-parse", f"{args.parent}:src"),
             "change_src_tree": working_src_tree(tmp),
+            "src_lines": {"parent": src_lines(parent_root), "change": src_lines(ROOT)},
             "command": f"python3 perfbench/run.py --workload W --seed N --seconds {spec['run_seconds']} --trace 0",
             "seeds": list(SEEDS),
             "environment": environment(),
