@@ -133,6 +133,31 @@ def _rtsafe_step(x, ratio, fx, dfx, prev, a, b):
     return np.where(newton, xn, 0.5 * (a + b))
 
 
+def _ulp_walk(g, rows, u, res, a, b, toward):
+    """(u, |g|, a, b) after trying up to _STEP_ULPS doubles from u to toward, one g call each.
+
+    g is f with its sign folded in; u keeps the smallest |g| seen, and each
+    bracket (a, b) closes on the doubles tried.  Where the plane's u-slope
+    is steep, one ulp of u moves the residual by more than the target, so
+    the ulp rule can stop a row a double or two from the root.
+    """
+    u, res, a, b = u.copy(), res.copy(), a.copy(), b.copy()
+    live, v = np.arange(u.size), u
+    for _ in range(int(_STEP_ULPS)):
+        go = v != toward[live]
+        live = live[go]
+        if not live.size:
+            break
+        v = np.nextafter(v[go], toward[live])
+        gv = g(v, rows[live])
+        better = np.abs(gv) < res[live]
+        u[live[better]], res[live[better]] = v[better], np.abs(gv[better])
+        neg = gv < 0.0
+        a[live[neg]] = np.maximum(a[live[neg]], v[neg])
+        b[live[~neg]] = np.minimum(b[live[~neg]], v[~neg])
+    return u, res, a, b
+
+
 def _newton(f, lo, hi, increasing: bool, scale):
     """Bracketed Newton-bisection for f(u, rows) = 0 over rows, monotone in u.
 
@@ -146,10 +171,15 @@ def _newton(f, lo, hi, increasing: bool, scale):
     _STEP_ULPS ulps of u, its bracket has collapsed, or its smallest |f|
     meets the target while its steps have stopped shrinking (the noise
     floor); at most _STEP_MAX steps.  It keeps the u of the smallest |f|
-    it saw.  The running rows' state sits in dense arrays, compacted when
-    rows stop, and each step forms f/f' once, for its stop test and for
-    the next Newton iterate.  Returns (u, residual, state) with state 1
-    solved, 0 level outside the bracket, -1 stalled above the target.
+    it saw.  A row that stops on the ulp rule above its target first tries
+    the doubles from that u into its bracket (_ulp_walk).  The running
+    rows' state sits in dense arrays, compacted when rows stop, and each
+    step forms f/f' once, for its stop test and for the next Newton
+    iterate.  Returns (u, residual, state) with state 1 solved, 0 level
+    outside the bracket, -1 stalled above the target.  A row above its
+    target whose bracket has closed on two adjacent doubles, with a
+    residual within the clamp slack, is solved: no double meets the target
+    there.
     """
     n = lo.size
     rows = np.arange(n)
@@ -173,7 +203,10 @@ def _newton(f, lo, hi, increasing: bool, scale):
     dfx = np.where(near, slopes[:n][run], slopes[n:][run])
     u[run], res[run] = x, np.abs(fx)
     mid = 0.5 * (a + b)
-    go = (fx != 0.0) & (mid != a) & (mid != b)
+    # a bracket closed on adjacent doubles pins the root to the last bit
+    pinned = np.zeros(n, dtype=bool)
+    pinned[run] = (mid == a) | (mid == b)
+    go = (fx != 0.0) & ~pinned[run]
     idx, a, b, x, fx, dfx = run[go], a[go], b[go], x[go], fx[go], dfx[go]
     best_u, best_f, target = x, np.abs(fx), _RESIDUAL_REL * scale[idx]
     step = prev = np.full(idx.size, np.inf)
@@ -194,16 +227,27 @@ def _newton(f, lo, hi, increasing: bool, scale):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = fx / dfx
             nxt = np.abs(ratio)
-            done = (fx == 0.0) | (nxt <= _STEP_ULPS * np.spacing(np.abs(x))) | (mid == a) | (mid == b)
+            ulps = nxt <= _STEP_ULPS * np.spacing(np.abs(x))
+            done = (fx == 0.0) | ulps | (mid == a) | (mid == b)
             done |= (best_f <= target) & (nxt >= 0.5 * step)
             if done.any():
+                near = done & ulps & (best_f > target)
+                if near.any():
+                    # the root lies inside the bracket, which best_u ends
+                    toward = np.where(best_u[near] - a[near] <= b[near] - best_u[near], b[near], a[near])
+                    best_u[near], best_f[near], a[near], b[near] = _ulp_walk(
+                        lambda v, i: sign * f(v, i)[0], idx[near], best_u[near], best_f[near], a[near], b[near], toward
+                    )
+                    mid = 0.5 * (a + b)
                 u[idx[done]], res[idx[done]] = best_u[done], best_f[done]
+                pinned[idx[done]] = ((mid == a) | (mid == b))[done]
                 go = ~done
                 idx, a, b, x, fx, dfx, ratio = idx[go], a[go], b[go], x[go], fx[go], dfx[go], ratio[go]
                 best_u, best_f, target, step, prev = best_u[go], best_f[go], target[go], step[go], prev[go]
             xn = _rtsafe_step(x, ratio, fx, dfx, prev, a, b)
     u[idx], res[idx] = best_u, best_f
-    state[run[~(res[run] <= _RESIDUAL_REL * scale[run])]] = -1
+    met = res <= _RESIDUAL_REL * scale
+    state[run[~(met[run] | (pinned[run] & (res[run] <= clamp[run])))]] = -1
     return u, res, state
 
 

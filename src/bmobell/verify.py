@@ -74,7 +74,8 @@ def check_identities(params: Params, u_grid) -> VerifyReport:
     """
     eps = params.eps
     u = np.asarray(u_grid, dtype=float)
-    if u.size == 0 or np.any(u < eps - 1e-12) or np.any(u > eps + 10.0 + 1e-12):
+    # a nan is inside no interval
+    if u.size == 0 or not np.all((u >= eps - 1e-12) & (u <= eps + 10.0 + 1e-12)):
         raise DomainError(f"u_grid must lie inside [{eps}, {eps + 10.0}]")
     worst, witness = -math.inf, None
     cases = 0
@@ -255,8 +256,8 @@ def check_attainment(params: Params, u_grid) -> VerifyReport:
     """
     p, r, eps = params.p, params.r, params.eps
     grid = [float(v) for v in u_grid]
-    if not grid:
-        raise DomainError("attainment check needs at least one chord value")
+    if not grid or not np.isfinite(grid).all():
+        raise DomainError("attainment check needs at least one chord value in u_grid, all finite")
     cases = []
     for u in grid:
         for tag, f, x1, x3c in (

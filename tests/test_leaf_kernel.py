@@ -22,6 +22,8 @@ from bmobell import (
     Region,
     bellman2d,
     classify,
+    extract_constant,
+    gamma_fn,
     gradient,
     gradient_batch,
     hessian,
@@ -316,6 +318,23 @@ def test_dense_centred_slice_block_meets_the_residual_target(pair):
     assert p_residuals(pa, X).max() <= 1e-12
     u = solve_u_batch(pa, X)[0].reshape(x3.shape)
     assert np.array_equal(central_u_batch(pa, x2[7], x3[7]), u[7])
+
+
+def test_steep_p_planes_solve_at_the_double_next_to_the_root():
+    # at p = 8 one ulp of u moves the p-plane by about 6e-12 at (0, 1, 7.0477),
+    # so the solve stopped on the ulp rule a double short of the one that
+    # meets the target, and raised ConvergenceError
+    pa = Params(8.0, 10.0)
+    assert np.isfinite(value_batch(pa, [[0.0, 1.0, 7.0477]])).all()
+    assert p_residual(pa, (0.0, 1.0, 7.0477)) <= 1e-12
+    # on the slice's lower envelope, as at (0, 0.27, 0.27^4), no double
+    # meets the target: the bracket closes on the two around the root, and
+    # the solve keeps the better one, within the clamp slack
+    for r in (10.0, 12.0):
+        c, _ = extract_constant(Params(8.0, r), 200)
+        assert c**r == pytest.approx(gamma_fn(r + 1.0) / gamma_fn(9.0), rel=1e-3)
+    low = domain.envelope_batch(pa, np.zeros(1), np.array([0.27]))[0][0]
+    assert 1e-12 < p_residual(pa, (0.0, 0.27, low)) <= 1e-10
 
 
 @pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0)])

@@ -399,6 +399,14 @@ VERIFY_REFUSALS = [
     (lambda: edge_ratio(Params(1.0, 3.0), [0.5, 1.5]), "edge ratio needs chord values u in [0, 1]"),
     (lambda: edge_ratio(Params(1.0, 3.0), [-0.1]), "edge ratio needs chord values u in [0, 1]"),
     (lambda: edge_ratio(Params(1.0, 3.0), [math.nan]), "edge ratio needs chord values u in [0, 1]"),
+    # a non-finite grid is named, not left to m_fn or the extremals to refuse
+    (lambda: check_identities(Params(1.0, 3.0), [1.5, math.nan]), "u_grid must lie inside [1.0, 11.0]"),
+    (lambda: check_identities(Params(1.0, 3.0), [math.inf]), "u_grid must lie inside [1.0, 11.0]"),
+    (lambda: check_attainment(Params(1.0, 3.0), [0.5, math.nan]),
+     "attainment check needs at least one chord value in u_grid, all finite"),
+    (lambda: check_attainment(Params(1.0, 3.0), [math.inf]),
+     "attainment check needs at least one chord value in u_grid, all finite"),
+    (lambda: check_attainment(Params(1.0, 3.0), []), "attainment check needs at least one chord value in u_grid, all finite"),
 ]
 
 
