@@ -127,35 +127,12 @@ def _brackets(eps: float, a1, x2, central):
 
 
 def _rtsafe_step(x, ratio, fx, dfx, prev, a, b):
-    """rtsafe's next iterate: the Newton point x - f/f', or the midpoint of (a, b)."""
+    """rtsafe's next iterate: the Newton point x - f/f', or the midpoint of (a, b);
+    a Newton point that rounds to x itself is the next double towards the root."""
     xn = x - ratio
+    xn = np.where(xn == x, np.nextafter(x, np.where(fx < 0.0, b, a)), xn)
     newton = (xn > a) & (xn < b) & (np.abs(2.0 * fx) <= np.abs(prev * dfx))
     return np.where(newton, xn, 0.5 * (a + b))
-
-
-def _ulp_walk(g, rows, u, res, a, b, toward):
-    """(u, |g|, a, b) after trying up to _STEP_ULPS doubles from u to toward, one g call each.
-
-    g is f with its sign folded in; u keeps the smallest |g| seen, and each
-    bracket (a, b) closes on the doubles tried.  Where the plane's u-slope
-    is steep, one ulp of u moves the residual by more than the target, so
-    the ulp rule can stop a row a double or two from the root.
-    """
-    u, res, a, b = u.copy(), res.copy(), a.copy(), b.copy()
-    live, v = np.arange(u.size), u
-    for _ in range(int(_STEP_ULPS)):
-        go = v != toward[live]
-        live = live[go]
-        if not live.size:
-            break
-        v = np.nextafter(v[go], toward[live])
-        gv = g(v, rows[live])
-        better = np.abs(gv) < res[live]
-        u[live[better]], res[live[better]] = v[better], np.abs(gv[better])
-        neg = gv < 0.0
-        a[live[neg]] = np.maximum(a[live[neg]], v[neg])
-        b[live[~neg]] = np.minimum(b[live[~neg]], v[~neg])
-    return u, res, a, b
 
 
 def _newton(f, lo, hi, increasing: bool, scale):
@@ -163,23 +140,23 @@ def _newton(f, lo, hi, increasing: bool, scale):
 
     f returns the residual and its u-derivative at each (u, row).  Each
     row clamps to a bracket end whose level misses by at most
-    _CLAMP_REL * scale.  Otherwise it starts at the end nearer the level
-    and steps as rtsafe does (Press et al., Numerical Recipes, 9.4): a
-    Newton step, or the bracket midpoint when the Newton iterate is not
-    finite, leaves the bracket, or would not halve the step before last.
-    A row stops when its residual is zero, its next Newton step is within
-    _STEP_ULPS ulps of u, its bracket has collapsed, or its smallest |f|
-    meets the target while its steps have stopped shrinking (the noise
-    floor); at most _STEP_MAX steps.  It keeps the u of the smallest |f|
-    it saw.  A row that stops on the ulp rule above its target first tries
-    the doubles from that u into its bracket (_ulp_walk).  The running
-    rows' state sits in dense arrays, compacted when rows stop, and each
-    step forms f/f' once, for its stop test and for the next Newton
-    iterate.  Returns (u, residual, state) with state 1 solved, 0 level
-    outside the bracket, -1 stalled above the target.  A row above its
-    target whose bracket has closed on two adjacent doubles, with a
-    residual within the clamp slack, is solved: no double meets the target
-    there.
+    _CLAMP_REL * scale.  Otherwise its iterate 0 is the end nearer the
+    level, and it steps as rtsafe does (Press et al., Numerical Recipes,
+    9.4): a Newton step, or the bracket midpoint when the Newton iterate is
+    not finite, leaves the bracket, or would not halve the step before
+    last.  At every iterate a row forms f/f' once, for one stop test and
+    for its next step.  It stops when its residual is zero; when its root
+    is pinned, its bracket closed on two adjacent doubles; when its
+    smallest |f| meets the target and its Newton step rounds to nothing,
+    or, past its first step, is within _STEP_ULPS ulps of u or has stopped
+    shrinking (the noise floor); or after _STEP_MAX steps.  A Newton step
+    that rounds to nothing above the target moves one double instead, so
+    the bracket closes.  It keeps the u of the smallest |f| it saw.  The
+    running rows' state sits in dense arrays, compacted when rows stop.
+    Returns (u, residual, state) with state 1 solved, 0 level outside the
+    bracket, -1 stalled above the target.  A pinned row above its target
+    is solved when it misses by at most the clamp slack: no double meets
+    the target there.
     """
     n = lo.size
     rows = np.arange(n)
@@ -195,27 +172,33 @@ def _newton(f, lo, hi, increasing: bool, scale):
     u[low], res[low] = lo[low], flo[low]
     u[high], res[high] = hi[high], -fhi[high]
     state[(low | high) & (res > clamp)] = 0
-    run = np.flatnonzero(~(low | high))
+    run = idx = np.flatnonzero(~(low | high))
     a, b = lo[run], hi[run]
     near = -flo[run] <= fhi[run]
     x = np.where(near, a, b)
     fx = np.where(near, flo[run], fhi[run])
     dfx = np.where(near, slopes[:n][run], slopes[n:][run])
-    u[run], res[run] = x, np.abs(fx)
-    mid = 0.5 * (a + b)
-    # a bracket closed on adjacent doubles pins the root to the last bit
+    best_u, best_f, target = x, np.abs(fx), _RESIDUAL_REL * scale[run]
+    step = prev = np.full(run.size, np.inf)
     pinned = np.zeros(n, dtype=bool)
-    pinned[run] = (mid == a) | (mid == b)
-    go = (fx != 0.0) & ~pinned[run]
-    idx, a, b, x, fx, dfx = run[go], a[go], b[go], x[go], fx[go], dfx[go]
-    best_u, best_f, target = x, np.abs(fx), _RESIDUAL_REL * scale[idx]
-    step = prev = np.full(idx.size, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = fx / dfx
-        xn = _rtsafe_step(x, ratio, fx, dfx, prev, a, b)
-    for _ in range(_STEP_MAX):
-        if idx.size == 0:
-            break
+    for steps in range(_STEP_MAX + 1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = fx / dfx
+            mid = 0.5 * (a + b)
+            pin = (mid == a) | (mid == b)
+            met = best_f <= target
+            done = (fx == 0.0) | pin | (met & (x - ratio == x)) | (steps == _STEP_MAX)
+            if steps:
+                nxt = np.abs(ratio)
+                done |= met & ((nxt <= _STEP_ULPS * np.spacing(np.abs(x))) | (nxt >= 0.5 * step))
+            if done.any():
+                u[idx[done]], res[idx[done]], pinned[idx[done]] = best_u[done], best_f[done], pin[done]
+                go = ~done
+                idx, a, b, x, fx, dfx, ratio = idx[go], a[go], b[go], x[go], fx[go], dfx[go], ratio[go]
+                best_u, best_f, target, step, prev = best_u[go], best_f[go], target[go], step[go], prev[go]
+            if idx.size == 0:
+                break
+            xn = _rtsafe_step(x, ratio, fx, dfx, prev, a, b)
         prev, step, x = step, np.abs(xn - x), xn
         fx, dfx = f(x, idx)
         fx, dfx = sign * fx, sign * dfx
@@ -223,29 +206,6 @@ def _newton(f, lo, hi, increasing: bool, scale):
         best_u, best_f = np.where(better, x, best_u), np.where(better, np.abs(fx), best_f)
         neg = fx < 0.0
         a, b = np.where(neg, x, a), np.where(neg, b, x)
-        mid = 0.5 * (a + b)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = fx / dfx
-            nxt = np.abs(ratio)
-            ulps = nxt <= _STEP_ULPS * np.spacing(np.abs(x))
-            done = (fx == 0.0) | ulps | (mid == a) | (mid == b)
-            done |= (best_f <= target) & (nxt >= 0.5 * step)
-            if done.any():
-                near = done & ulps & (best_f > target)
-                if near.any():
-                    # the root lies inside the bracket, which best_u ends
-                    toward = np.where(best_u[near] - a[near] <= b[near] - best_u[near], b[near], a[near])
-                    best_u[near], best_f[near], a[near], b[near] = _ulp_walk(
-                        lambda v, i: sign * f(v, i)[0], idx[near], best_u[near], best_f[near], a[near], b[near], toward
-                    )
-                    mid = 0.5 * (a + b)
-                u[idx[done]], res[idx[done]] = best_u[done], best_f[done]
-                pinned[idx[done]] = ((mid == a) | (mid == b))[done]
-                go = ~done
-                idx, a, b, x, fx, dfx, ratio = idx[go], a[go], b[go], x[go], fx[go], dfx[go], ratio[go]
-                best_u, best_f, target, step, prev = best_u[go], best_f[go], target[go], step[go], prev[go]
-            xn = _rtsafe_step(x, ratio, fx, dfx, prev, a, b)
-    u[idx], res[idx] = best_u, best_f
     met = res <= _RESIDUAL_REL * scale
     state[run[~(met[run] | (pinned[run] & (res[run] <= clamp[run])))]] = -1
     return u, res, state
@@ -479,8 +439,12 @@ def gradient_batch(params: Params, pts, margin: float = 1e-6) -> np.ndarray:
     """Vectorized analytic gradients over an (n, 3) array of interior points.
 
     Points outside the body raise DomainError, as in value_batch; points
-    within margin of its boundary raise BoundaryError.
+    within margin of its boundary raise BoundaryError.  A margin that is not
+    finite and positive, which would switch that guard off, raises
+    DomainError before any solve.
     """
+    if not 0.0 < margin < np.inf:
+        raise DomainError(f"margin must be finite and positive, got {margin}")
     X, regions, low, high = _inside(params, pts)
     if params.regime is Regime.DEGENERATE:
         g = np.array([0.0, 1.0, 0.0]) if params.r == 2 else np.array([0.0, 0.0, 1.0])

@@ -5,6 +5,7 @@ interior points of every region and regime, against an external
 high-precision route.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -110,8 +111,8 @@ def test_value_symmetry_in_x1():
             pts = interior_points(pa, 200, seed=9)
             mirror = pts * np.array([-1.0, 1.0, 1.0])
             assert np.array_equal(value_batch(pa, mirror), value_batch(pa, pts))
-            # near p = 2 the envelopes close in, so the margin would refuse points
-            g, gm = gradient_batch(pa, pts, margin=0.0), gradient_batch(pa, mirror, margin=0.0)
+            # near p = 2 the envelopes close in, so the default margin would refuse points
+            g, gm = gradient_batch(pa, pts, margin=1e-300), gradient_batch(pa, mirror, margin=1e-300)
             assert np.array_equal(gm[:, 0], -g[:, 0]) and np.array_equal(gm[:, 1:], g[:, 1:])
             assert np.array_equal(hessian_leaf_batch(pa, mirror), S @ hessian_leaf_batch(pa, pts) @ S)
 
@@ -232,6 +233,24 @@ def test_leaf_hessian_refuses_skeleton_points(x):
     inner = interior_points(PA, 4, seed=41)
     with pytest.raises(BoundaryError, match=r"point \(%s, %s, %s\)" % x):
         hessian_leaf_batch(PA, np.concatenate([inner[:2], [x], inner[2:]]))
+
+
+@pytest.mark.parametrize("margin", [np.nan, -1.0, 0.0, np.inf])
+def test_gradient_refuses_a_margin_that_is_not_finite_and_positive(margin):
+    # such a margin switched the boundary guard off: the skeleton point
+    # reached k_fn's own DomainError, and the lower-envelope point got a
+    # gradient; the default margin refuses both as boundary points
+    pa = Params(2.5, 4.0)
+    pts = [(0.5, 0.25, 0.5**2.5), (0.3, 0.3, bellman2d(pa, 0.3, 0.3, "lower"))]
+    text = re.escape(f"margin must be finite and positive, got {margin}")
+    for x in pts:
+        with pytest.raises(BoundaryError, match="domain boundary"):
+            gradient_batch(pa, [x])
+        with pytest.raises(DomainError, match=text):
+            gradient_batch(pa, [x], margin=margin)
+    with pytest.raises(DomainError, match=text):
+        gradient(PA, (0.5, 0.25, 0.5), margin=margin)
+
 
 # ------------------------------------------------------------------- scaling
 

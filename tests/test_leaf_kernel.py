@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import bmobell.bellman as bellman
 import bmobell.domain as domain
 from bmobell import (
+    BoundaryError,
     DomainError,
     Params,
     Region,
@@ -98,12 +99,12 @@ def test_scalar_batch_and_neighbours_agree_exactly(pair, eps, target, others, sl
     x = point(pa, *target)
     alone_b = value_batch(pa, [x])[0]
     alone_u = solve_u_batch(pa, [x])[0][0]
-    # near p = 2 the envelopes close in, so the margin would refuse points
-    alone_g = gradient_batch(pa, [x], margin=0.0)[0]
+    # near p = 2 the envelopes close in, so the default margin would refuse points
+    alone_g = gradient_batch(pa, [x], margin=1e-300)[0]
     alone_h = hessian_leaf_batch(pa, [x])[0]
     assert value(pa, x) == alone_b
     assert solve_leaf(pa, x).u == alone_u
-    assert np.array_equal(gradient(pa, x, margin=0.0), alone_g)
+    assert np.array_equal(gradient(pa, x, margin=1e-300), alone_g)
     # the same point among other rows, at any position, gives the same bits;
     # one row is always one leaf family, so this pins the one-family paths
     # against the mixed ones
@@ -112,7 +113,7 @@ def test_scalar_batch_and_neighbours_agree_exactly(pair, eps, target, others, sl
     rows.insert(k, x)
     assert value_batch(pa, rows)[k] == alone_b
     assert solve_u_batch(pa, rows)[0][k] == alone_u
-    assert np.array_equal(gradient_batch(pa, rows, margin=0.0)[k], alone_g)
+    assert np.array_equal(gradient_batch(pa, rows, margin=1e-300)[k], alone_g)
     assert np.array_equal(hessian_leaf_batch(pa, rows)[k], alone_h)
 
 
@@ -248,9 +249,14 @@ def test_chord_parameters_past_the_k_window(pair, eps):
     for x, b in zip(pts, got):
         lo, hi = bellman2d(pr, x[0], x[1], "lower"), bellman2d(pr, x[0], x[1], "upper")
         assert lo * (1.0 - 1e-12) <= b <= hi * (1.0 + 1e-12)
-    # for p = 1 the envelopes meet to within 1e-6 out there, so no margin
-    g = gradient_batch(pa, pts, margin=0.0)
-    assert np.array_equal(g[4], gradient(pa, pts[4], margin=0.0))
+    # for p = 1 both envelopes round to x3 itself out there, so every
+    # margin refuses the points as boundary points
+    if pa.p == 1.0:
+        with pytest.raises(BoundaryError, match="domain boundary"):
+            gradient_batch(pa, pts, margin=1e-300)
+        return
+    g = gradient_batch(pa, pts)
+    assert np.array_equal(g[4], gradient(pa, pts[4]))
 
 
 
@@ -283,6 +289,24 @@ def test_solver_near_p_two(p, eps):
     rows += slice_rows(pa, 0.4 * eps * eps, (0.0, 1e-9, 0.3, 0.9, 1.0))
     assert p_residuals(pa, rows).max() <= 1e-12
     assert np.array_equal(value_batch(pa, rows), [value(pa, x) for x in rows])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 1.999, 2.001, 2.5, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("eps", [0.3, 1.0, 3.0])
+def test_solver_contract_across_the_p_eps_plane(p, eps):
+    # 200 interior rows, |x1| up to 10 eps and fractions in [0.01, 0.99],
+    # meet the residual target; 200 rows on the envelopes, alternately lower
+    # and upper, meet the clamp slack.  The p-solve does not depend on r.
+    pa = Params(p, p + 2.0, eps)
+    rng = np.random.default_rng(31)
+    x1 = eps * rng.uniform(-10.0, 10.0, 200)
+    x2 = x1 * x1 + eps * eps * rng.uniform(0.01, 0.99, 200)
+    lo = np.array([bellman2d(pa, a, b, "lower") for a, b in zip(x1, x2)])
+    hi = np.array([bellman2d(pa, a, b, "upper") for a, b in zip(x1, x2)])
+    inner = np.column_stack([x1, x2, lo + rng.uniform(0.01, 0.99, 200) * (hi - lo)])
+    ends = np.column_stack([x1, x2, np.where(np.arange(200) % 2 == 0, lo, hi)])
+    assert p_residuals(pa, inner).max() <= 1e-12
+    assert p_residuals(pa, ends).max() <= 1e-10
 
 
 @pytest.mark.parametrize("pair", [(1.0, 3.0), (1.5, 3.0), (2.5, 4.0), (4.0, 3.0), (1.999, 10.0)])
@@ -337,13 +361,39 @@ def test_steep_p_planes_solve_at_the_double_next_to_the_root():
     assert 1e-12 < p_residual(pa, (0.0, 0.27, low)) <= 1e-10
 
 
-@pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0)])
+def test_a_start_end_within_its_target_whose_newton_step_rounds_to_nothing_is_kept():
+    # f rises with slope 1e4 through [1, 2] and misses by -4e-13 at the start
+    # end 1, within the target 1e-12, so the Newton step, 4e-17, rounds to
+    # nothing; the next double reads a smaller |f| only through the rounding
+    # noise written into f there.  The row keeps 1 and evaluates nothing
+    # past its ends.
+    up = np.nextafter(1.0, 2.0)
+    calls = []
+
+    def f(v, rows):
+        calls.append(v.size)
+        return np.where(v == up, 1e-13, 1e4 * (v - 1.0) - 4e-13), np.full(v.size, 1e4)
+
+    u, res, state = bellman._newton(f, np.array([1.0]), np.array([2.0]), True, np.ones(1))
+    assert (u[0], res[0], state[0]) == (1.0, 4e-13, 1)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (2.5, 4.0), (1.5, 3.0), (4.0, 3.0), (8.0, 10.0)])
 def test_value_batch_costs_few_m_fn_calls(pair, monkeypatch):
     # a count, not a timing: each solver step evaluates m once for the
     # whole batch, so the calls of one value_batch bound the steps of its
-    # slowest row; halving brackets took 57-59 calls here
+    # slowest row; halving brackets took 57-59 calls here.  At (8, 10) the
+    # rows are the 400 envelope rows of extract_constant's density-200
+    # slice, where a Newton step from the start end can round to nothing;
+    # bisecting from there across the bracket took 67 calls
     pa = Params(*pair)
-    rows = interior(pa, 250, seed=23)
+    if pair == (8.0, 10.0):
+        x2 = np.linspace(0.0, 1.0, 201)[1:]
+        lo, hi = domain.envelope_batch(pa, np.zeros_like(x2), x2)
+        rows = np.column_stack([np.zeros(400), np.tile(x2, 2), np.concatenate([lo, hi])])
+    else:
+        rows = interior(pa, 250, seed=23)
     calls = []
     real = bellman.m_fn
 

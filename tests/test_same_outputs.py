@@ -84,9 +84,32 @@ def random_step_values(seeds, cells, eps):
 """
 
 
-def fake_tree(root: Path, body: str, bmo: str | None = None, moment: str = "0.25 * q") -> Path:
+# the calls behind the leaf readings: a pair is its exponents, extract_constant
+# reads {constant}, the envelope ends are x2 and 2 x2, and value_batch reads x3
+LEAVES = """
+
+def Params(p, r):
+    return (p, r)
+
+
+def extract_constant(params, density):
+    return {constant}
+
+
+def bellman2d(params, x1, x2, side):
+    return x2 if side == "lower" else 2.0 * x2
+
+
+def value_batch(params, rows):
+    return [x3 for _, _, x3 in rows]
+"""
+
+
+def fake_tree(root: Path, body: str, bmo: str | None = None, moment: str = "0.25 * q",
+              constant: str | None = None) -> Path:
     (root / "src" / "bmobell").mkdir(parents=True)
     package = PACKAGE.format(body=body) + ("" if bmo is None else SCANS.format(bmo=bmo, moment=moment))
+    package += "" if constant is None else LEAVES.format(constant=constant)
     (root / "src" / "bmobell" / "__init__.py").write_text(package)
     (root / "src" / "bmobell" / "cli.py").write_text("")
     (root / "perfbench").mkdir()
@@ -117,7 +140,7 @@ def test_a_one_ulp_difference_in_a_scan_reading_is_named(same_outputs, tmp_path,
     b = fake_tree(tmp_path / "b", "0.1 * seed",
                   f"math.nextafter({flat}, 2.0) if (f, levels) == (('ladder', 4, 0.2, 6), 10) else {flat}")
     assert same_outputs.compare_trees(a, a, tmp_path) == 0
-    assert capsys.readouterr().out.endswith(", 42 scan readings and 77 moment readings\n")
+    assert capsys.readouterr().out.endswith(", 42 scan readings, 77 moment readings and 11 leaf readings\n")
     assert same_outputs.compare_trees(a, b, tmp_path) == 1
     assert capsys.readouterr().out == "differs: scan reading bmo_norm(build_ladder(4, 0.2, 6), 10)\n"
 
@@ -131,6 +154,19 @@ def test_a_one_ulp_difference_in_a_moment_reading_is_named(same_outputs, tmp_pat
                   f"math.nextafter({moment}, 2.0) if (f, q) == (('uplus', 1.0, 0.5), 2.5) else {moment}")
     assert same_outputs.compare_trees(a, b, tmp_path) == 1
     assert capsys.readouterr().out == "differs: moment reading moments(optimizer_uplus(1, 0.5), 2.5)\n"
+
+
+def test_a_one_ulp_difference_in_a_leaf_reading_is_named(same_outputs, tmp_path, capsys):
+    # the workloads, scans and moments agree, and the constant at (10, 12)
+    # reads one ulp higher in the change
+    flat, constant = "0.5 + 0.01 * levels", "0.1 * params[0] + 0.01 * params[1]"
+    a = fake_tree(tmp_path / "a", "0.1 * seed", flat, constant=constant)
+    b = fake_tree(tmp_path / "b", "0.1 * seed", flat,
+                  constant=f"math.nextafter({constant}, 2.0) if params == (10.0, 12.0) else {constant}")
+    assert same_outputs.compare_trees(a, a, tmp_path) == 0
+    assert capsys.readouterr().out.endswith(", 42 scan readings, 77 moment readings and 11 leaf readings\n")
+    assert same_outputs.compare_trees(a, b, tmp_path) == 1
+    assert capsys.readouterr().out == "differs: leaf reading extract_constant(Params(10, 12), 200)\n"
 
 
 def test_the_first_differing_operation_is_named(same_outputs):

@@ -7,14 +7,15 @@ directory, removed when the script ends, also on SIGTERM.  In each tree a
 fresh process imports bmobell from that tree's src/ and the workloads from
 its perfbench/, and for every workload and every seed in SEEDS runs each
 operation of one round once, then the workload's ``evidence`` on those
-outputs.  Two more records hold seminorm readings and absolute moments the
-workloads do not take (``scan_readings`` and ``moment_readings``).  The
-change side is this checkout's working tree.  The outputs of the two trees
-are compared with perfbench/run.py's ``same``, exact equality of numbers,
-strings and arrays, in the order the workloads run them, then reading by
-reading.  The script prints the first workload, seed and operation, or the
-first scan or moment reading, whose outputs differ and exits 1, or prints
-how many records and readings agree and exits 0.  It reads perfbench/ and
+outputs.  Three more records hold seminorm readings, absolute moments and
+leaf solves the workloads do not take (``scan_readings``,
+``moment_readings`` and ``leaf_readings``).  The change side is this
+checkout's working tree.  The outputs of the two trees are compared with
+perfbench/run.py's ``same``, exact equality of numbers, strings and
+arrays, in the order the workloads run them, then reading by reading.  The
+script prints the first workload, seed and operation, or the first scan,
+moment or leaf reading, whose outputs differ and exits 1, or prints how
+many records and readings agree and exits 0.  It reads perfbench/ and
 writes nothing there.
 """
 
@@ -38,6 +39,10 @@ LADDERS = ((4, 0.05, 5), (4, 0.1, 5), (4, 0.2, 5), (4, 0.3, 5), (4, 0.5, 5), (3,
 
 # the exponents of the moment readings
 EXPONENTS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3)
+
+# the pairs of the leaf readings' extract_constant, and of their envelope rows
+CONSTANT_PAIRS = ((8.0, 10.0), (8.0, 12.0), (8.0, 20.0), (10.0, 12.0), (10.0, 20.0), (1.999, 3.0), (2.001, 10.0))
+ENVELOPE_PAIRS = ((8.0, 10.0), (1.999, 3.0), (4.0, 3.0))
 
 
 def plain(x):
@@ -105,8 +110,31 @@ def moment_readings(B) -> dict:
     return out
 
 
+def leaf_readings(B) -> dict:
+    """Leaf solves by name: extract_constant at density 200 on CONSTANT_PAIRS,
+    value_batch at (0, 1, 7.0477) for (8, 10), and value_batch on the 400
+    rows (0, x2, lower) and (0, x2, upper) of the density-200 slice, the
+    ends from bellman2d, on ENVELOPE_PAIRS: the rows whose solves end on a
+    pinned root or a bracket end."""
+    import numpy as np
+
+    x2s = np.linspace(0.0, 1.0, 201)[1:]
+
+    def envelope_rows(params):
+        X = [(0.0, v, B.bellman2d(params, 0.0, v, side)) for side in ("lower", "upper") for v in x2s]
+        return B.value_batch(params, X)
+
+    jobs = {f"extract_constant(Params({p:g}, {r:g}), 200)": (
+        lambda p=p, r=r: B.extract_constant(B.Params(p, r), 200)) for p, r in CONSTANT_PAIRS}
+    jobs["value_batch(Params(8, 10), [[0, 1, 7.0477]])"] = (
+        lambda: B.value_batch(B.Params(8.0, 10.0), [[0.0, 1.0, 7.0477]]))
+    for p, r in ENVELOPE_PAIRS:
+        jobs[f"value_batch(Params({p:g}, {r:g}), envelope rows)"] = lambda p=p, r=r: envelope_rows(B.Params(p, r))
+    return {name: outcome(fn) for name, fn in jobs.items()}
+
+
 def collect(root: Path, out: Path):
-    """Every workload's outputs and evidence at every seed, and the scan and moment readings, from root's trees, pickled into out."""
+    """Every workload's outputs and evidence at every seed, and the scan, moment and leaf readings, from root's trees, pickled into out."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bmobell
     import bmobell.cli  # noqa: F401  (the scan workload drives the CLI)
@@ -122,7 +150,7 @@ def collect(root: Path, out: Path):
             outs["evidence"] = outcome(lambda: wl.evidence(outs))
             records.append((name, seed, plain(outs)))
     out.write_bytes(pickle.dumps({"records": records, "scans": plain(scan_readings(bmobell)),
-                                  "moments": plain(moment_readings(bmobell))}))
+                                  "moments": plain(moment_readings(bmobell)), "leaves": plain(leaf_readings(bmobell))}))
 
 
 def run_tree(root: Path, out: Path) -> dict:
@@ -158,14 +186,15 @@ def compare_trees(parent_root: Path, change_root: Path, tmp: Path) -> int:
         workload, seed, op = diff
         print(f"differs: workload {workload}, seed {seed}, operation {op}")
         return 1
-    for key, what in (("scans", "scan"), ("moments", "moment")):
+    for key, what in (("scans", "scan"), ("moments", "moment"), ("leaves", "leaf")):
         a, b = parent[key], change[key]
         for name in list(a) + [k for k in b if k not in a]:
             if name not in a or name not in b or not run.same(a[name], b[name]):
                 print(f"differs: {what} reading {name}")
                 return 1
     print(f"same: {len(parent['records'])} records (workload, seed) of operations and evidence agree, "
-          f"{len(parent['scans'])} scan readings and {len(parent['moments'])} moment readings")
+          f"{len(parent['scans'])} scan readings, {len(parent['moments'])} moment readings "
+          f"and {len(parent['leaves'])} leaf readings")
     return 0
 
 
